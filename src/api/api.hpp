@@ -149,12 +149,13 @@ class Service {
   virtual CacheInfo cache_stats() = 0;
 };
 
-/// The in-process implementation: owns one flow::Session and a small job
-/// queue on `job_workers` threads.  With the default single worker, jobs
+/// The in-process implementation: owns one flow::Session and runs each job
+/// as a task on a util::ThreadPool with `job_workers` workers (clamped to
+/// 1..ThreadPool::kMaxParallelism-1).  With the default single worker, jobs
 /// run strictly in submission order and session-mutating scripts
 /// ("parallel:n", "cache:p") are allowed; with more workers such scripts
 /// are rejected at submit (invalid_request) because they would reconfigure
-/// the engine under concurrent jobs.
+/// the session under concurrent jobs.
 class LocalService final : public Service {
  public:
   struct Params {

@@ -1,11 +1,8 @@
 #include "api/api.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "flow/control.hpp"
 #include "flow/pipeline.hpp"
@@ -36,16 +33,15 @@ struct LocalService::Impl {
     JobResult result;
   };
 
-  explicit Impl(Params params) : params_(std::move(params)), session_(params_.session) {
-    params_.job_workers = std::clamp<uint32_t>(params_.job_workers, 1,
-                                               util::ThreadPool::kMaxParallelism);
-    // The spawned workers immediately contend on mutex_ in worker_loop, so
-    // holding it while filling workers_ only delays their first queue check.
-    util::MutexLock lock(mutex_);
-    workers_.reserve(params_.job_workers);
-    for (uint32_t i = 0; i < params_.job_workers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
+  explicit Impl(Params params)
+      : params_(std::move(params)),
+        session_(params_.session),
+        // A pool of parallelism N has N-1 workers (it counts the thread in
+        // TaskGroup::wait), so job_workers workers take job_workers + 1.
+        pool_(std::clamp<uint32_t>(params_.job_workers, 1,
+                                   util::ThreadPool::kMaxParallelism - 1) +
+              1) {
+    params_.job_workers = pool_.parallelism() - 1;
   }
 
   JobId submit(const JobRequest& request) {
@@ -67,9 +63,11 @@ struct LocalService::Impl {
     job->request = request;
     job->pipeline = std::move(pipeline);
     jobs_.emplace(job->id, job);
-    queue_.push_back(job);
     ++submitted_;
-    queue_cv_.notify_one();
+    // Enqueued under mutex_ (edge api_service_jobs -> pool_queue): a job
+    // is either refused above or in the group before shutdown() can wait.
+    // The pool has at least one worker, so submit never runs it inline.
+    jobs_group_.submit([this, job] { run_job(*job); });
     return job->id;
   }
 
@@ -90,7 +88,7 @@ struct LocalService::Impl {
     auto job = find_locked(id);
     if (is_terminal(job->state)) return false;
     if (job->state == JobState::queued) {
-      queue_.erase(std::remove(queue_.begin(), queue_.end(), job), queue_.end());
+      // Its pool task stays queued and skips the job when it runs.
       finalize_locked(*job, JobState::cancelled,
                       {ErrorCode::cancelled, "cancelled before start", {}, {}});
       return true;
@@ -108,7 +106,7 @@ struct LocalService::Impl {
       s.completed = completed_;
       s.failed = failed_;
       s.cancelled = cancelled_;
-      s.queued = queue_.size();
+      s.queued = submitted_ - completed_ - failed_ - cancelled_ - running_;
       s.running = running_;
     }
     if (const auto* oracle = session_.oracle_if_created()) {
@@ -125,22 +123,13 @@ struct LocalService::Impl {
   }
 
   void shutdown() {
-    std::vector<std::thread> workers;
     {
       util::MutexLock lock(mutex_);
       stopping_ = true;
-      for (auto& job : queue_) {
-        finalize_locked(*job, JobState::cancelled,
-                        {ErrorCode::shutting_down,
-                         "service shut down before the job started",
-                         {},
-                         {}});
-      }
-      queue_.clear();
-      workers.swap(workers_);  // empty on repeat calls: idempotent
     }
-    queue_cv_.notify_all();
-    for (auto& worker : workers) worker.join();
+    // Running jobs finish; queued ones drain as shutting_down (run_job),
+    // partly on this thread, which helps empty the pool's queue.
+    jobs_group_.wait();
     // After the last job: the single choke point every shutdown path shares
     // (the Session destructor persists again and no-ops on clean state).
     session_.persist();
@@ -193,24 +182,21 @@ struct LocalService::Impl {
     }
   }
 
-  void worker_loop() {
-    for (;;) {
-      std::shared_ptr<Job> job;
-      {
-        util::MutexLock lock(mutex_);
-        while (!stopping_ && queue_.empty()) queue_cv_.wait(lock);
-        if (queue_.empty()) return;  // only true here when stopping
-        job = queue_.front();
-        queue_.pop_front();
-        if (job->state != JobState::queued) continue;  // raced with cancel
-        job->state = JobState::running;
-        ++running_;
-      }
-      run_job(*job);
-    }
-  }
-
   void run_job(Job& job) {
+    {
+      util::MutexLock lock(mutex_);
+      if (job.state != JobState::queued) return;  // cancelled while queued
+      if (stopping_) {
+        finalize_locked(job, JobState::cancelled,
+                        {ErrorCode::shutting_down,
+                         "service shut down before the job started",
+                         {},
+                         {}});
+        return;
+      }
+      job.state = JobState::running;
+      ++running_;
+    }
     JobResult res;
     try {
       std::istringstream blif(job.request.network_blif);
@@ -273,15 +259,12 @@ struct LocalService::Impl {
   util::SharedMutex session_rw_{util::LockRank::api_service_session};
 
   util::Mutex mutex_{util::LockRank::api_service_jobs};
-  util::CondVar queue_cv_;  ///< workers wait for work / stop
-  util::CondVar done_cv_;   ///< result() waits for terminal states
+  util::CondVar done_cv_;  ///< result() waits for terminal states
   // A Job's state/result are guarded by mutex_ too, but through the
   // shared_ptr in jobs_ — a per-field annotation cannot name the guard from
   // inside the nested struct, so the contract is enforced at the access
   // sites: only *_locked helpers and lock-holding scopes touch them.
   std::unordered_map<JobId, std::shared_ptr<Job>> jobs_ MIGHTY_GUARDED_BY(mutex_);
-  std::deque<std::shared_ptr<Job>> queue_ MIGHTY_GUARDED_BY(mutex_);
-  std::vector<std::thread> workers_ MIGHTY_GUARDED_BY(mutex_);
   JobId next_id_ MIGHTY_GUARDED_BY(mutex_) = 1;
   bool stopping_ MIGHTY_GUARDED_BY(mutex_) = false;
   uint64_t submitted_ MIGHTY_GUARDED_BY(mutex_) = 0;
@@ -289,6 +272,12 @@ struct LocalService::Impl {
   uint64_t failed_ MIGHTY_GUARDED_BY(mutex_) = 0;
   uint64_t cancelled_ MIGHTY_GUARDED_BY(mutex_) = 0;
   uint64_t running_ MIGHTY_GUARDED_BY(mutex_) = 0;
+
+  // Declared last, so destroyed first: the group waits for outstanding
+  // jobs, then the pool joins its workers, while every member a job touches
+  // is still alive.
+  util::ThreadPool pool_;
+  util::ThreadPool::TaskGroup jobs_group_{pool_};
 };
 
 LocalService::LocalService() : LocalService(Params{}) {}

@@ -1,6 +1,5 @@
 #include "exact/database.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -9,6 +8,7 @@
 #include <stdexcept>
 
 #include "util/atomic_file.hpp"
+#include "util/clock.hpp"
 
 namespace mighty::exact {
 
@@ -16,7 +16,7 @@ Database Database::build(const SynthesisOptions& options) {
   Database db;
   const auto classes = npn::enumerate_classes(4);
   for (const auto& rep : classes) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = util::Clock::now();
     const auto result = synthesize_minimum_mig(rep, options);
     if (result.status != SynthesisStatus::success) {
       throw std::runtime_error("database build failed for class 0x" + rep.to_hex());
@@ -25,8 +25,7 @@ Database Database::build(const SynthesisOptions& options) {
     entry.representative = rep;
     entry.chain = result.chain;
     for (const uint64_t c : result.conflicts_per_step) entry.conflicts += c;
-    entry.build_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    entry.build_seconds = util::seconds_since(start);
     db.index_.emplace(rep.bits(), db.entries_.size());
     db.entries_.push_back(std::move(entry));
   }

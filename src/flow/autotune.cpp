@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -13,15 +12,11 @@
 
 #include "flow/batch.hpp"
 #include "flow/session.hpp"
+#include "util/clock.hpp"
 
 namespace mighty::flow {
 
 namespace {
-
-double seconds_since(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 // --- candidate representation ------------------------------------------------
 //
@@ -526,7 +521,7 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
 
   TuneReport local;
   TuneReport& out = report != nullptr ? (*report = TuneReport{}, *report) : local;
-  const auto search_start = std::chrono::steady_clock::now();
+  const auto search_start = util::Clock::now();
 
   std::vector<std::string> vocabulary = params_.vocabulary;
   if (vocabulary.empty()) {
@@ -768,7 +763,7 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
     // copy's pareto field in sync with its twin in `evaluated`.
     if (entry.script == out.baseline.script) out.baseline.pareto = entry.pareto;
   }
-  out.seconds = seconds_since(search_start);
+  out.seconds = util::seconds_since(search_start);
   return Pipeline::parse(out.best().script);
 }
 

@@ -1,24 +1,15 @@
 #include "flow/batch.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <functional>
 #include <stdexcept>
 
 #include "flow/session.hpp"
+#include "util/clock.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mighty::flow {
-
-namespace {
-
-double seconds_since(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 std::vector<mig::Mig> BatchRunner::run(const Corpus& corpus, const Pipeline& pipeline,
                                        BatchReport* report) {
@@ -54,16 +45,16 @@ std::vector<mig::Mig> BatchRunner::run(const Corpus& corpus, const Pipeline& pip
   // not pay (or trigger) a database load.
   if (pipeline.uses_oracle()) session_.oracle();
 
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = util::Clock::now();
 
   // One (network, pass) execution: transforms results[i] in place and
   // appends to its private per-network report.  Tasks of different networks
   // touch disjoint elements, so no locking is needed.
   auto execute_pass = [&](size_t i, size_t pass_index) {
-    const auto pass_start = std::chrono::steady_clock::now();
+    const auto pass_start = util::Clock::now();
     results[i] = pipeline.pass(pass_index).run(results[i], session_,
                                                out.networks[i].flow);
-    out.networks[i].flow.seconds += seconds_since(pass_start);
+    out.networks[i].flow.seconds += util::seconds_since(pass_start);
   };
   auto fail_network = [&](size_t i, const char* what) {
     out.networks[i].error = what;
@@ -76,44 +67,32 @@ std::vector<mig::Mig> BatchRunner::run(const Corpus& corpus, const Pipeline& pip
     flow.accumulate_oracle_totals();
   };
 
-  util::ThreadPool* pool = session_.worker_pool();
-  if (pool == nullptr) {
-    // Parallelism 1: networks run to completion in corpus order.
-    for (size_t i = 0; i < count; ++i) {
+  // Two-level scheduling: each (network, pass) unit is one task, and a
+  // finished pass enqueues its network's next pass — so up to `threads`
+  // networks are in flight, and a pass's own FFR shards fan out over the
+  // same pool underneath.  At parallelism 1 the group runs every task inline
+  // at submit, so networks run to completion in corpus order.
+  util::ThreadPool::TaskGroup group(session_.pool());
+  std::function<void(size_t, size_t)> step = [&](size_t i, size_t pass_index) {
+    if (pass_index < pipeline.num_passes()) {
       try {
-        for (size_t p = 0; p < pipeline.num_passes(); ++p) execute_pass(i, p);
+        execute_pass(i, pass_index);
       } catch (const std::exception& e) {
         fail_network(i, e.what());
-      }
-      finalize_network(i);
-    }
-  } else {
-    // Two-level scheduling: each (network, pass) unit is one task, and a
-    // finished pass enqueues its network's next pass — so up to `threads`
-    // networks are in flight, and a pass's own FFR shards fan out over the
-    // same pool underneath.
-    util::ThreadPool::TaskGroup group(*pool);
-    std::function<void(size_t, size_t)> step = [&](size_t i, size_t pass_index) {
-      if (pass_index < pipeline.num_passes()) {
-        try {
-          execute_pass(i, pass_index);
-        } catch (const std::exception& e) {
-          fail_network(i, e.what());
-          finalize_network(i);
-          return;
-        }
-        group.submit([&step, i, pass_index] { step(i, pass_index + 1); });
+        finalize_network(i);
         return;
       }
-      finalize_network(i);
-    };
-    for (size_t i = 0; i < count; ++i) {
-      group.submit([&step, i] { step(i, 0); });
+      group.submit([&step, i, pass_index] { step(i, pass_index + 1); });
+      return;
     }
-    group.wait();
+    finalize_network(i);
+  };
+  for (size_t i = 0; i < count; ++i) {
+    group.submit([&step, i] { step(i, 0); });
   }
+  group.wait();
 
-  out.seconds = seconds_since(start);
+  out.seconds = util::seconds_since(start);
   out.finalize();
   // Persist everything this batch synthesized in one write (a no-op without
   // a session cache path, or when the corpus brought nothing new).

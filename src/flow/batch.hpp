@@ -94,13 +94,14 @@ public:
   explicit BatchRunner(Session& session) : session_(session) {}
 
   /// Runs `pipeline` over every corpus entry; returns the optimized networks
-  /// in corpus order.  With session parallelism 1 networks run sequentially
-  /// in corpus order; otherwise the two-level scheduler above applies — the
-  /// results are bit-identical either way.  When `report` is given it is
-  /// reset and filled with per-network reports and the corpus roll-up.
+  /// in corpus order.  The two-level scheduler above runs on the session's
+  /// pool; at parallelism 1 the pool runs each task inline, so networks run
+  /// to completion in corpus order — the results are bit-identical either
+  /// way.  When `report` is given it is reset and filled with per-network
+  /// reports and the corpus roll-up.
   ///
   /// Throws std::invalid_argument if the pipeline contains a "parallel:n"
-  /// directive: that knob rebuilds the session's executor, which must not
+  /// directive: that knob rebuilds the session's pool, which must not
   /// happen while batch tasks run on it — set Session::set_threads (or the
   /// session params) before the batch instead.
   std::vector<mig::Mig> run(const Corpus& corpus, const Pipeline& pipeline,

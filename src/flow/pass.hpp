@@ -123,10 +123,10 @@ public:
   /// Composite passes answer for their bodies.
   virtual bool uses_oracle() const { return false; }
 
-  /// True when the pass reconfigures the session's execution engine rather
-  /// than transforming the network (the "parallel:n" directive).  Such
-  /// passes are rejected inside batch runs, where tearing down the executor
-  /// mid-flight would destroy the pool the batch is running on.
+  /// True when the pass reconfigures the session rather than transforming
+  /// the network (the "parallel:n" and "cache:<path>" directives).  Such
+  /// passes are rejected inside batch runs, where rebuilding the session's
+  /// pool mid-flight would destroy the workers the batch is running on.
   virtual bool mutates_session() const { return false; }
 
   virtual std::unique_ptr<Pass> clone() const = 0;

@@ -1,21 +1,16 @@
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <optional>
 #include <stdexcept>
 
 #include "check/check.hpp"
 #include "flow/pass.hpp"
 #include "flow/session.hpp"
+#include "util/clock.hpp"
 
 namespace mighty::flow {
 
 namespace {
-
-double seconds_since(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// Functional hashing through the session's shared oracle.
 class RewritePass final : public Pass {
@@ -91,7 +86,7 @@ public:
 
   mig::Mig run(const mig::Mig& mig, Session& session,
                FlowReport& report) const override {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = util::Clock::now();
     algebra::AlgebraStats stats;
     algebra::SizeOptParams params = params_;
     params.pool = session.worker_pool();
@@ -102,7 +97,7 @@ public:
     entry.size_after = stats.size_after;
     entry.depth_before = stats.depth_before;
     entry.depth_after = stats.depth_after;
-    entry.seconds = seconds_since(start);
+    entry.seconds = util::seconds_since(start);
     report.passes.push_back(std::move(entry));
     return result;
   }
@@ -122,7 +117,7 @@ public:
   std::string name() const override { return "depth"; }
 
   mig::Mig run(const mig::Mig& mig, Session&, FlowReport& report) const override {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = util::Clock::now();
     algebra::AlgebraStats stats;
     auto result = algebra::depth_optimize(mig, params_, &stats);
     PassStats entry;
@@ -131,7 +126,7 @@ public:
     entry.size_after = stats.size_after;
     entry.depth_before = stats.depth_before;
     entry.depth_after = stats.depth_after;
-    entry.seconds = seconds_since(start);
+    entry.seconds = util::seconds_since(start);
     report.passes.push_back(std::move(entry));
     return result;
   }
@@ -154,7 +149,7 @@ public:
   }
 
   mig::Mig run(const mig::Mig& mig, Session&, FlowReport& report) const override {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = util::Clock::now();
     const auto mapping = map::map_luts(mig, params_);
     PassStats entry;
     entry.name = name();
@@ -163,7 +158,7 @@ public:
     entry.is_mapping = true;
     entry.num_luts = mapping.num_luts;
     entry.lut_depth = mapping.depth;
-    entry.seconds = seconds_since(start);
+    entry.seconds = util::seconds_since(start);
     report.passes.push_back(std::move(entry));
     return mig;
   }
@@ -239,13 +234,13 @@ public:
   std::string name() const override { return "check"; }
 
   mig::Mig run(const mig::Mig& mig, Session&, FlowReport& report) const override {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = util::Clock::now();
     const auto result = check::validate_at(mig, /*full=*/true);
     PassStats entry;
     entry.name = name();
     entry.size_before = entry.size_after = mig.count_live_gates();
     entry.depth_before = entry.depth_after = mig.depth();
-    entry.seconds = seconds_since(start);
+    entry.seconds = util::seconds_since(start);
     report.passes.push_back(std::move(entry));
     if (!result.ok()) {
       throw std::logic_error("check failed:\n" + result.summary());

@@ -8,6 +8,7 @@
 #include "check/check.hpp"
 #include "flow/control.hpp"
 #include "flow/session.hpp"
+#include "util/clock.hpp"
 
 namespace mighty::flow {
 
@@ -248,12 +249,11 @@ mig::Mig Pipeline::run(const mig::Mig& mig, Session& session,
 
   out.size_before = mig.count_live_gates();
   out.depth_before = mig.depth();
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = util::Clock::now();
 
   mig::Mig current = run_into(mig, session, out);
 
-  out.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  out.seconds = util::seconds_since(start);
   out.size_after = current.count_live_gates();
   out.depth_after = current.depth();
   out.accumulate_oracle_totals();

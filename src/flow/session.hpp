@@ -7,9 +7,9 @@
 
 #include "exact/database.hpp"
 #include "exact/exact_synthesis.hpp"
-#include "flow/executor.hpp"
 #include "opt/oracle.hpp"
 #include "util/mutex.hpp"
+#include "util/thread_pool.hpp"
 
 /// \file session.hpp
 /// \brief Shared state for optimization flows.
@@ -22,7 +22,7 @@
 /// through flow::BatchRunner, across every network of a corpus: the oracle
 /// is concurrency-safe, so many networks in flight share one warm cache.
 ///
-/// Lazy initialization (database(), oracle(), executor()) is single-threaded
+/// Lazy initialization (database(), oracle(), pool()) is single-threaded
 /// by design; materialize before handing the session to concurrent tasks
 /// (BatchRunner does this itself).
 
@@ -129,18 +129,20 @@ public:
 
   /// Sets the parallelism of subsequent pipeline runs (0 is treated as 1).
   /// Shard-parallel passes produce bit-identical networks for every value,
-  /// so this is purely a throughput knob.  Rebuilds the executor on change.
+  /// so this is purely a throughput knob.  Rebuilds the pool on change.
   void set_threads(uint32_t threads);
-  /// Effective parallelism.  Clamped exactly as the executor's pool clamps,
-  /// also for widths smuggled in through SessionParams — otherwise executor()
-  /// would see a perpetual mismatch and respawn its pool on every pass.
+  /// Effective parallelism.  Clamped exactly as the pool clamps, also for
+  /// widths smuggled in through SessionParams — otherwise pool() would see a
+  /// perpetual mismatch and respawn on every pass.
   uint32_t threads() const {
     const uint32_t t = params_.threads == 0 ? 1 : params_.threads;
     return std::min(t, util::ThreadPool::kMaxParallelism);
   }
 
-  /// The session's parallel execution engine, created on first use.
-  Executor& executor();
+  /// The worker pool shared by every pass and batch task for the lifetime
+  /// of the session, so repeated runs never pay thread startup; created on
+  /// first use at threads() width.
+  util::ThreadPool& pool();
 
   // --- between-pass invariant checking ----------------------------------------
 
@@ -151,10 +153,9 @@ public:
   CheckLevel check_level() const { return check_level_; }
 
   /// Pool for shard-parallel passes: nullptr at parallelism 1, so passes
-  /// take the inline path without materializing an executor.
-  util::ThreadPool* worker_pool() {
-    return threads() > 1 ? executor().worker_pool() : nullptr;
-  }
+  /// take the inline path (the same sharded algorithms, which keeps
+  /// `threads=N` bit-identical to `threads=1`) without materializing a pool.
+  util::ThreadPool* worker_pool() { return threads() > 1 ? &pool() : nullptr; }
 
 private:
   /// Merges cache_path() into the materialized oracle, warning on stderr
@@ -171,7 +172,7 @@ private:
 #endif
   std::optional<exact::Database> database_;
   std::optional<opt::ReplacementOracle> oracle_;
-  std::unique_ptr<Executor> executor_;
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace mighty::flow

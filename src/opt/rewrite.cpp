@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <stdexcept>
 
 #include "opt/oracle.hpp"
+#include "util/clock.hpp"
 
 namespace mighty::opt {
 
@@ -14,7 +14,7 @@ mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
   RewriteStats local;
   local.size_before = mig.count_live_gates();
   local.depth_before = mig.depth();
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = util::Clock::now();
 
   // Attribute oracle activity to exactly this call: the drivers record every
   // query into a local tally instead of the caller reading lifetime counters
@@ -28,8 +28,7 @@ mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
                         : rewrite_bottom_up(mig, oracle, driver_params, local);
   result = result.cleanup();
 
-  local.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  local.seconds = util::seconds_since(start);
   local.size_after = result.count_live_gates();
   local.depth_after = result.depth();
   local.oracle_queries = tally.queries.load(std::memory_order_relaxed);

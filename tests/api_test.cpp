@@ -13,9 +13,11 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/arith.hpp"
@@ -44,6 +46,14 @@ JobRequest request_for(const mig::Mig& m, const std::string& script) {
 /// gives it thousands of gates to chew on).
 JobRequest slow_request() {
   return request_for(gen::make_multiplier_n(10), "(depth; size)*20");
+}
+
+/// Polls until job `id` has left the queue.  The slow jobs this waits for
+/// run far longer than the checks that follow the wait.
+void wait_until_started(LocalService& service, JobId id) {
+  while (service.status(id).state == JobState::queued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 TEST(ApiTest, SubmitAndResultRoundTrip) {
@@ -175,6 +185,73 @@ TEST(ApiTest, ShutdownCancelsQueuedAndRefusesNewWork) {
   }
   // Idempotent: a second shutdown (and the destructor's) is a no-op.
   EXPECT_NO_THROW(service.shutdown());
+}
+
+TEST(ApiTest, SingleWorkerRunsJobsInSubmissionOrder) {
+  LocalService service;
+  std::vector<JobId> ids{service.submit(slow_request())};
+  for (uint32_t bits = 2; bits < 8; ++bits) {
+    ids.push_back(service.submit(request_for(gen::make_adder_n(bits), "size")));
+  }
+  // Waiting on a job in the middle: FIFO on one worker means the slow head
+  // and everything else before it has already finished.
+  for (const size_t k : {size_t{3}, ids.size() - 1}) {
+    ASSERT_EQ(service.result(ids[k]).code, ErrorCode::ok);
+    for (size_t j = 0; j < k; ++j) {
+      EXPECT_TRUE(is_terminal(service.status(ids[j]).state)) << "job " << j;
+    }
+  }
+}
+
+TEST(ApiTest, StatsCountQueuedAndRunningJobs) {
+  LocalService service;  // one worker: the slow job runs, three wait
+  const JobId slow = service.submit(slow_request());
+  std::vector<JobId> waiting;
+  for (int i = 0; i < 3; ++i) {
+    waiting.push_back(service.submit(request_for(gen::make_adder_n(4), "size")));
+  }
+  wait_until_started(service, slow);
+  const ServiceStats during = service.stats();
+  // Still running after the snapshot, so the snapshot saw it run.
+  ASSERT_EQ(service.status(slow).state, JobState::running);
+  EXPECT_EQ(during.running, 1u);
+  EXPECT_EQ(during.queued, 3u);
+
+  EXPECT_TRUE(service.cancel(slow));
+  for (const JobId id : waiting) EXPECT_EQ(service.result(id).code, ErrorCode::ok);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.queued, 0u);
+  EXPECT_EQ(after.running, 0u);
+  EXPECT_EQ(after.completed, 3u);
+  EXPECT_EQ(after.cancelled, 1u);
+}
+
+TEST(ApiTest, ShutdownFinishesQueuedJobsOnMultiWorkerService) {
+  LocalService::Params params;
+  params.job_workers = 2;
+  LocalService service(params);
+  const JobId first = service.submit(slow_request());
+  const JobId second = service.submit(slow_request());
+  std::vector<JobId> queued;
+  for (int i = 0; i < 4; ++i) {
+    queued.push_back(service.submit(request_for(gen::make_adder_n(4), "size")));
+  }
+  wait_until_started(service, first);
+  wait_until_started(service, second);
+  service.shutdown();
+
+  // Both workers were busy, so none of the four had started.
+  for (const JobId id : queued) {
+    EXPECT_EQ(service.result(id).code, ErrorCode::shutting_down);
+    EXPECT_EQ(service.status(id).state, JobState::cancelled);
+  }
+  EXPECT_EQ(service.result(first).code, ErrorCode::ok);
+  EXPECT_EQ(service.result(second).code, ErrorCode::ok);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, 6u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled);
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.running, 0u);
 }
 
 TEST(ApiTest, MutatingScriptsRejectedOnMultiWorkerService) {

@@ -97,7 +97,7 @@ TEST(ParallelFlowTest, WorkerPoolMaterializesOnlyWhenParallel) {
   session.set_threads(4);
   ASSERT_NE(session.worker_pool(), nullptr);
   EXPECT_EQ(session.worker_pool()->parallelism(), 4u);
-  EXPECT_EQ(session.executor().threads(), 4u);
+  EXPECT_EQ(session.pool().parallelism(), 4u);
   session.set_threads(0);  // clamps to 1
   EXPECT_EQ(session.threads(), 1u);
   EXPECT_EQ(session.worker_pool(), nullptr);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "check.hpp"
-#include "compile_commands.hpp"
 #include "diagnostics.hpp"
 
 /// mighty-lint — the project's semantic invariant linter.
@@ -21,20 +20,10 @@
 /// gates them in CI and ctest.  See docs/linting.md for the check catalog,
 /// the suppression syntax, and how to add a check.
 ///
-/// Engines: the portable token engine below always builds (plain C++20);
-/// configuring with -DMIGHTY_LINT_WITH_CLANG=ON swaps in the LibTooling AST
-/// engine (ast_engine.cpp) for type-accurate matching on systems with LLVM/
-/// Clang development headers.
+/// The checks run on a token stream (lexer.hpp), so the tool builds with
+/// nothing but C++20 on every machine.
 
 namespace mighty::lint {
-
-#if defined(MIGHTY_LINT_HAVE_CLANG)
-/// ast_engine.cpp — runs the AST checks over `files` using the compilation
-/// database at `build_dir`; reports through `engine`.  Returns false on a
-/// frontend failure (which is itself a finding: the tree must parse).
-bool run_ast_engine(const std::string& build_dir,
-                    const std::vector<FileUnit>& units, DiagnosticEngine& engine);
-#endif
 
 namespace {
 
@@ -42,11 +31,9 @@ namespace fs = std::filesystem;
 
 struct Options {
   std::string root = ".";
-  std::string build_dir;            ///< -p: compile_commands.json location
   std::string as_vpath;             ///< --as: virtual path for a single input
   std::vector<std::string> paths;   ///< files or directories to lint
   std::set<std::string> only;       ///< --check filters
-  std::string engine = "auto";      ///< auto | lex | ast
   bool list_checks = false;
   bool quiet = false;
 };
@@ -60,12 +47,9 @@ constexpr const char* kUsage =
     "fuzz/ under --root.  Exit status: 0 clean, 1 findings, 2 usage error.\n"
     "\n"
     "  --root <dir>    project root for path scoping (default: .)\n"
-    "  -p <build-dir>  read <build-dir>/compile_commands.json for the file\n"
-    "                  list (and compiler flags, AST engine)\n"
     "  --as <vpath>    treat a single input file as this project-relative\n"
     "                  path (fixture testing)\n"
     "  --check <name>  run only this check (repeatable)\n"
-    "  --engine <e>    auto|lex|ast (ast needs -DMIGHTY_LINT_WITH_CLANG=ON)\n"
     "  --list-checks   print the check catalog and exit\n"
     "  --quiet         suppress the summary line\n"
     "\n"
@@ -121,24 +105,9 @@ std::vector<std::string> collect_files(const Options& options, std::string& erro
       return {};
     }
   }
-  if (!options.build_dir.empty()) {
-    for (const std::string& f : compile_commands_files(options.build_dir)) {
-      if (!fs::exists(f) || !has_cpp_extension(f)) continue;
-      // The database lists everything the build compiles — tests included —
-      // but the lint contract covers the production trees only (tests may
-      // use raw streams and test-framework asserts freely).
-      const std::string vpath = vpath_for(f, options.root);
-      for (const char* tree : {"src/", "tools/", "examples/", "bench/", "fuzz/"}) {
-        if (vpath_in(vpath, tree)) {
-          files.push_back(f);
-          break;
-        }
-      }
-    }
-  }
-  // Canonicalize before dedup: the same file reached via the tree walk and
-  // via the database ("./src/x.cpp" vs "/abs/src/x.cpp") must be one unit,
-  // or its allow comments register twice and the duplicates read as stale.
+  // Canonicalize before dedup: the same file named twice ("./src/x.cpp" vs
+  // "/abs/src/x.cpp") must be one unit, or its allow comments register
+  // twice and the duplicates read as stale.
   for (std::string& f : files) {
     std::error_code ec;
     const fs::path canonical = fs::weakly_canonical(f, ec);
@@ -207,25 +176,10 @@ int run(const Options& options) {
   DiagnosticEngine engine(known);
   for (const FileUnit& unit : units) engine.register_file(unit);
 
-  bool used_ast = false;
-#if defined(MIGHTY_LINT_HAVE_CLANG)
-  if (options.engine == "ast" || (options.engine == "auto" && !options.build_dir.empty())) {
-    used_ast = run_ast_engine(options.build_dir, units, engine);
-  }
-#else
-  if (options.engine == "ast") {
-    std::fprintf(stderr,
-                 "mighty-lint: built without the Clang AST engine "
-                 "(reconfigure with -DMIGHTY_LINT_WITH_CLANG=ON)\n");
-    return 2;
-  }
-#endif
-  if (!used_ast) {
-    for (const auto& check : checks) {
-      if (!options.only.empty() && options.only.count(check->name()) == 0) continue;
-      check->scan_all(units);
-      for (const FileUnit& unit : units) check->run(unit, engine);
-    }
+  for (const auto& check : checks) {
+    if (!options.only.empty() && options.only.count(check->name()) == 0) continue;
+    check->scan_all(units);
+    for (const FileUnit& unit : units) check->run(unit, engine);
   }
   // A stale allow is only provably stale when every check had its chance.
   if (options.only.empty()) engine.flag_unused_allows();
@@ -255,10 +209,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--root") options.root = value();
-    else if (arg == "-p") options.build_dir = value();
     else if (arg == "--as") options.as_vpath = value();
     else if (arg == "--check") options.only.insert(value());
-    else if (arg == "--engine") options.engine = value();
     else if (arg == "--list-checks") options.list_checks = true;
     else if (arg == "--quiet") options.quiet = true;
     else if (arg == "--help" || arg == "-h") {
@@ -271,10 +223,6 @@ int main(int argc, char** argv) {
     } else {
       options.paths.push_back(arg);
     }
-  }
-  if (options.engine != "auto" && options.engine != "lex" && options.engine != "ast") {
-    std::fprintf(stderr, "mighty-lint: --engine must be auto, lex or ast\n");
-    return 2;
   }
   try {
     return mighty::lint::run(options);
