@@ -159,6 +159,8 @@ class Service {
 class LocalService final : public Service {
  public:
   struct Params {
+    /// Its `oracle` params (5-input answers, conflict budget) govern every
+    /// job's rewrite passes.
     flow::SessionParams session;
     uint32_t job_workers = 1;
   };

@@ -38,8 +38,7 @@ struct PassStats {
   bool is_mapping = false;      ///< set by mapping passes (0 LUTs is legal)
   uint32_t num_luts = 0;        ///< mapping passes only
   uint32_t lut_depth = 0;       ///< mapping passes only
-  /// Oracle activity during this pass (rewriting passes; includes private
-  /// per-pass oracles that never touch the session counters).
+  /// Oracle activity during this pass (rewriting passes), tallied per query.
   uint64_t oracle_queries = 0;
   uint64_t oracle_answered = 0;
   uint64_t oracle_cache5_hits = 0;
@@ -75,8 +74,7 @@ struct FlowReport {
   uint32_t depth_after = 0;
   double seconds = 0.0;
 
-  /// Oracle activity during this run (sums of the per-pass deltas, so
-  /// private per-pass oracles are accounted for as well).
+  /// Oracle activity during this run (sums of the per-pass tallies).
   uint64_t oracle_queries = 0;
   uint64_t oracle_answered = 0;
   uint64_t oracle_cache5_hits = 0;
@@ -94,10 +92,9 @@ struct FlowReport {
   /// Last mapping result in the trajectory, if any pass mapped.
   const PassStats* last_mapping() const;
 
-  /// Recomputes the oracle_* totals as sums of the per-pass deltas (which
-  /// also accounts for private per-pass oracles).  Idempotent: totals are
-  /// reset before summing.  Pipeline::run and the batch runner both finalize
-  /// reports through this.
+  /// Recomputes the oracle_* totals as sums of the per-pass tallies.
+  /// Idempotent: totals are reset before summing.  Pipeline::run and the
+  /// batch runner both finalize reports through this.
   void accumulate_oracle_totals();
 
   /// Human-readable per-pass table plus the totals line.
@@ -134,9 +131,6 @@ public:
 
 /// Functional hashing with a paper-acronym variant ("TF", "bfd", ...).
 std::unique_ptr<Pass> make_rewrite_pass(const std::string& variant);
-/// Functional hashing with explicit parameters under a display name.
-std::unique_ptr<Pass> make_rewrite_pass(const opt::RewriteParams& params,
-                                        std::string name);
 /// Algebraic size optimization (Omega rules, right-to-left distributivity).
 std::unique_ptr<Pass> make_size_pass(const algebra::SizeOptParams& params = {});
 /// Algebraic depth optimization (greedy critical-path reduction).

@@ -182,10 +182,6 @@ Pipeline& Pipeline::rewrite(const std::string& variant) {
   return add(make_rewrite_pass(variant));
 }
 
-Pipeline& Pipeline::rewrite(const opt::RewriteParams& params, std::string name) {
-  return add(make_rewrite_pass(params, std::move(name)));
-}
-
 Pipeline& Pipeline::size_opt(const algebra::SizeOptParams& params) {
   return add(make_size_pass(params));
 }

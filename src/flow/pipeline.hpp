@@ -66,8 +66,6 @@ public:
   Pipeline& then(const Pipeline& other);
   /// Appends a functional-hashing pass by paper acronym ("TF", "bfd", ...).
   Pipeline& rewrite(const std::string& variant);
-  /// Appends a functional-hashing pass with explicit parameters.
-  Pipeline& rewrite(const opt::RewriteParams& params, std::string name);
   /// Appends algebraic size optimization.
   Pipeline& size_opt(const algebra::SizeOptParams& params = {});
   /// Appends algebraic depth optimization.

@@ -42,9 +42,11 @@ struct SessionParams {
   /// Synthesis options used only when the database must be built from
   /// scratch (first run on a fresh checkout).
   exact::SynthesisOptions synthesis;
-  /// Configuration of the shared replacement oracle.  Five-input synthesis
-  /// is enabled by default: passes that never enumerate 5-cuts never query
-  /// it, and passes that do share one cache for the whole session.
+  /// Configuration of the shared replacement oracle.  These params govern
+  /// every rewrite pass run on the session: all of them query this one
+  /// oracle, 5-input passes included.  Five-input synthesis is enabled by
+  /// default: passes that never enumerate 5-cuts never query it, and passes
+  /// that do share one cache (and one conflict budget) for the whole session.
   opt::OracleParams oracle{.enable_five_input = true};
   /// On-disk location of the persistent 5-input oracle cache; empty turns
   /// persistence off.  When set, the file is merged into the oracle when it

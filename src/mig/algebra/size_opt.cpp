@@ -42,11 +42,8 @@ GateView view_as_gate(const mig::Mig& m, mig::Signal s) {
 }
 
 /// One region's rewritten implementation over its inputs.
-struct RegionOutcome {
-  mig::Mig net;                  ///< private network; PI j realizes inputs[j]
-  std::vector<uint32_t> inputs;  ///< original node ids feeding the region
-  mig::Signal chosen;            ///< the root's implementation in `net`
-  uint32_t applied = 0;          ///< distributivity applications
+struct RegionOutcome : shard::RegionNet {
+  uint32_t applied = 0;  ///< distributivity applications
 };
 
 /// Rebuilds one region with the reverse-distributivity rule.  Reads only
@@ -149,42 +146,28 @@ mig::Mig size_optimize(const mig::Mig& m, const SizeOptParams& params,
     const auto fanout = source.compute_fanout_counts();
 
     // Rewrite regions concurrently; regions are independent for this rule.
-    const uint32_t parallelism = params.pool ? params.pool->parallelism() : 1;
     const auto plan =
-        shard::plan_ffr_shards(source, partition, parallelism > 1 ? parallelism * 4 : 1);
+        shard::plan_ffr_shards(source, partition, shard::shard_count(params.pool));
     std::vector<RegionOutcome> outcomes(regions.live_roots.size());
-    auto run_shard = [&](size_t s) {
+    util::parallel_for(params.pool, plan.shards.size(), [&](size_t s) {
       for (const uint32_t root : plan.shards[s].roots) {
         const uint32_t r = regions.region_index[root];
         outcomes[r] = rewrite_region(source, fanout, regions.members[r]);
       }
-    };
-    if (params.pool != nullptr) {
-      params.pool->parallel_for(plan.shards.size(), run_shard);
-    } else {
-      for (size_t s = 0; s < plan.shards.size(); ++s) run_shard(s);
-    }
+    });
 
     // Deterministic splice in topological root order.  Replaying only live
     // region cones leaves at most stray strash-simplified gates, so rounds
     // skip the full cleanup copy and decide on reachable-gate counts; one
     // final cleanup below restores the compact-network guarantee.
-    mig::Mig next;
-    std::vector<mig::Signal> committed(source.num_nodes(), next.get_constant(false));
-    for (uint32_t i = 0; i < source.num_pis(); ++i) {
-      committed[1 + i] = next.create_pi();
-    }
     bool changed = false;
-    for (const uint32_t root : regions.live_roots) {
-      const RegionOutcome& outcome = outcomes[regions.region_index[root]];
+    for (const RegionOutcome& outcome : outcomes) {
       if (outcome.applied > 0) changed = true;
       local.applied_distributivity += outcome.applied;
-      committed[root] = shard::splice_region(outcome.net, outcome.inputs,
-                                             outcome.chosen, committed, next);
     }
-    for (const mig::Signal o : source.outputs()) {
-      next.create_po(committed[o.index()] ^ o.is_complemented());
-    }
+    mig::Mig next = shard::splice_regions(
+        source, regions.live_roots,
+        [&](size_t i) -> const shard::RegionNet& { return outcomes[i]; });
 
     if (!changed || next.count_live_gates() >= source.count_live_gates()) {
       if (next.count_live_gates() < source.count_live_gates()) source = std::move(next);

@@ -3,7 +3,14 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "util/thread_pool.hpp"
+
 namespace mighty::shard {
+
+uint32_t shard_count(const util::ThreadPool* pool) {
+  const uint32_t parallelism = pool != nullptr ? pool->parallelism() : 1;
+  return parallelism > 1 ? parallelism * 4 : 1;
+}
 
 ShardPlan plan_ffr_shards(const mig::Mig& mig, const ffr::FfrPartition& partition,
                           uint32_t num_shards) {
@@ -89,14 +96,18 @@ std::vector<uint32_t> region_inputs(const mig::Mig& mig,
   return inputs;
 }
 
-mig::Signal splice_region(const mig::Mig& net, const std::vector<uint32_t>& inputs,
-                          mig::Signal chosen,
+namespace {
+
+/// Replays the live cone of `region.chosen` into `result`, mapping PI j
+/// through `committed_sig[region.inputs[j]]`; returns the root's signal.
+mig::Signal splice_region(const RegionNet& region,
                           const std::vector<mig::Signal>& committed_sig,
                           mig::Mig& result) {
+  const mig::Mig& net = region.net;
   const auto keep = net.live_mask();
   std::vector<mig::Signal> map(net.num_nodes(), result.get_constant(false));
-  for (uint32_t j = 0; j < inputs.size(); ++j) {
-    map[1 + j] = committed_sig[inputs[j]];
+  for (uint32_t j = 0; j < region.inputs.size(); ++j) {
+    map[1 + j] = committed_sig[region.inputs[j]];
   }
   for (uint32_t p = 0; p < net.num_nodes(); ++p) {
     if (!net.is_gate(p) || !keep[p]) continue;
@@ -105,7 +116,25 @@ mig::Signal splice_region(const mig::Mig& net, const std::vector<uint32_t>& inpu
                                map[f[1].index()] ^ f[1].is_complemented(),
                                map[f[2].index()] ^ f[2].is_complemented());
   }
-  return map[chosen.index()] ^ chosen.is_complemented();
+  return map[region.chosen.index()] ^ region.chosen.is_complemented();
+}
+
+}  // namespace
+
+mig::Mig splice_regions(const mig::Mig& mig, const std::vector<uint32_t>& live_roots,
+                        const std::function<const RegionNet&(size_t)>& region) {
+  mig::Mig result;
+  std::vector<mig::Signal> committed_sig(mig.num_nodes(), result.get_constant(false));
+  for (uint32_t i = 0; i < mig.num_pis(); ++i) {
+    committed_sig[1 + i] = result.create_pi();
+  }
+  for (size_t i = 0; i < live_roots.size(); ++i) {
+    committed_sig[live_roots[i]] = splice_region(region(i), committed_sig, result);
+  }
+  for (const mig::Signal o : mig.outputs()) {
+    result.create_po(committed_sig[o.index()] ^ o.is_complemented());
+  }
+  return result;
 }
 
 std::vector<uint32_t> region_levels(const mig::Mig& mig,

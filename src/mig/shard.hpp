@@ -1,10 +1,15 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "mig/ffr.hpp"
 #include "mig/mig.hpp"
+
+namespace mighty::util {
+class ThreadPool;
+}
 
 /// \file shard.hpp
 /// \brief Balanced, disjoint shards of fanout-free regions.
@@ -40,6 +45,11 @@ struct ShardPlan {
   }
 };
 
+/// Shard count for a pass running on `pool` (null: inline).  A few shards
+/// per thread lets the dynamic scheduler even out skewed region sizes; the
+/// plan never affects a pass's result.
+uint32_t shard_count(const util::ThreadPool* pool);
+
 /// Groups the live regions of `partition` into at most `num_shards` balanced
 /// shards (fewer when there are fewer live regions).  Balancing is greedy
 /// largest-region-first onto the least-loaded shard with deterministic
@@ -70,16 +80,20 @@ RegionMembers collect_region_members(const mig::Mig& mig,
 std::vector<uint32_t> region_inputs(const mig::Mig& mig,
                                     const std::vector<uint32_t>& members);
 
-/// Deterministic merge step shared by the shard-parallel passes: replays the
-/// live cone of `chosen` — a signal in the region-private `net` whose PI j
-/// realizes original node `inputs[j]` — into `result`, mapping each PI
-/// through `committed_sig` (the signal realizing that original node in
-/// `result`).  Returns the signal realizing the region's root.  Structural
-/// hashing in `result` re-establishes cross-region sharing.
-mig::Signal splice_region(const mig::Mig& net, const std::vector<uint32_t>& inputs,
-                          mig::Signal chosen,
-                          const std::vector<mig::Signal>& committed_sig,
-                          mig::Mig& result);
+/// One region's rewritten implementation, as built by a region-parallel pass.
+struct RegionNet {
+  mig::Mig net;                  ///< private network; PI j realizes inputs[j]
+  std::vector<uint32_t> inputs;  ///< original node ids feeding the region
+  mig::Signal chosen;            ///< the region root's implementation in `net`
+};
+
+/// Deterministic merge step shared by the region-parallel passes: builds a
+/// network with the PIs of `mig`, then replays the live cone of every live
+/// region's `chosen` signal in ascending root order (`region(i)` is the
+/// region of `live_roots[i]`), then the POs of `mig`.  Structural hashing in
+/// the result re-establishes cross-region sharing.
+mig::Mig splice_regions(const mig::Mig& mig, const std::vector<uint32_t>& live_roots,
+                        const std::function<const RegionNet&(size_t)>& region);
 
 /// Per-region topological levels: a region's level is one more than the
 /// maximum level of the regions feeding its gates (pure-PI regions at 0).

@@ -14,16 +14,17 @@
 /// database minima over every (capped) combination of leaf candidates, and
 /// each output finally picks its best candidate.
 ///
-/// In FFR mode the DP decomposes by region: cuts are confined to fanout-free
-/// regions, and at every region root the candidate list is committed to its
-/// single best entry anyway (so downstream users share one implementation).
-/// A region's DP therefore needs only the committed (size, depth) of the
-/// regions feeding it — never their structure — which yields a wave schedule:
-/// regions of equal dependency level run concurrently, each building its
-/// candidates in a private network, and a deterministic sequential splice
-/// replays every region's committed implementation into the result in fixed
-/// topological order.  The outcome is bit-identical for every thread count.
-/// Global mode (no region confinement) keeps the sequential DP.
+/// One DP step (candidate_step) serves both modes.  Global mode runs it over
+/// every live gate into the result network.  In FFR mode the DP decomposes
+/// by region: cuts are confined to fanout-free regions, and at every region
+/// root the candidate list is committed to its single best entry anyway (so
+/// downstream users share one implementation).  A region's DP therefore
+/// needs only the committed (size, depth) of the regions feeding it — never
+/// their structure — which yields a wave schedule: regions of equal
+/// dependency level run the step concurrently, each into a private network,
+/// and a deterministic sequential splice replays every region's committed
+/// implementation into the result in fixed topological order.  The outcome
+/// is bit-identical for every thread count.
 
 namespace mighty::opt {
 
@@ -38,40 +39,115 @@ struct Candidate {
 /// Keeps the candidate list sorted by (size, depth) and bounded.
 void insert_candidate(std::vector<Candidate>& list, const Candidate& c,
                       uint32_t max_candidates) {
-  for (auto& existing : list) {
-    if (existing.sig == c.sig) {
-      // Same implementation reached twice: keep the better accounting.
-      if (c.size < existing.size || (c.size == existing.size && c.depth < existing.depth)) {
-        existing.size = c.size;
-        existing.depth = c.depth;
-      }
-      std::sort(list.begin(), list.end(), [](const Candidate& a, const Candidate& b) {
-        return a.size != b.size ? a.size < b.size : a.depth < b.depth;
-      });
-      return;
-    }
+  const auto same = std::find_if(list.begin(), list.end(),
+                                 [&](const Candidate& e) { return e.sig == c.sig; });
+  if (same == list.end()) {
+    list.push_back(c);
+  } else if (c.size < same->size || (c.size == same->size && c.depth < same->depth)) {
+    // Same implementation reached twice: keep the better accounting.
+    same->size = c.size;
+    same->depth = c.depth;
   }
-  list.push_back(c);
   std::sort(list.begin(), list.end(), [](const Candidate& a, const Candidate& b) {
     return a.size != b.size ? a.size < b.size : a.depth < b.depth;
   });
   if (list.size() > max_candidates) list.resize(max_candidates);
 }
 
-struct RegionCounters {
+struct StepCounters {
   uint64_t cuts_evaluated = 0;
   uint64_t replacements = 0;
 };
 
+/// Candidate lists by original node id: dense in the global DP, holding only
+/// the region's members and inputs in a region's DP.
+using DenseCandidates = std::vector<std::vector<Candidate>>;
+using RegionCandidates = std::unordered_map<uint32_t, std::vector<Candidate>>;
+
+const std::vector<Candidate>& candidates_of(const DenseCandidates& cand, uint32_t n) {
+  return cand[n];
+}
+const std::vector<Candidate>& candidates_of(const RegionCandidates& cand, uint32_t n) {
+  return cand.at(n);
+}
+
+/// The DP step for gate `v`, shared by both modes: fills cand[v] with the
+/// baseline rebuild over the fanins' best candidates plus, for every answered
+/// cut, one candidate per (capped) combination of leaf candidates — all
+/// built into `net`.  Reads only the candidate lists of v's fanins and leaves.
+template <typename Candidates>
+void candidate_step(const mig::Mig& mig, ReplacementOracle& oracle,
+                    const RewriteParams& params, const std::vector<cuts::Cut>& cut_set,
+                    uint32_t level, uint32_t v, Candidates& cand, mig::Mig& net,
+                    StepCounters& counters) {
+  auto& list = cand[v];
+
+  // Baseline candidate: rebuild the node over its fanins' best candidates.
+  {
+    const auto& f = mig.fanins(v);
+    const Candidate& c0 = candidates_of(cand, f[0].index()).front();
+    const Candidate& c1 = candidates_of(cand, f[1].index()).front();
+    const Candidate& c2 = candidates_of(cand, f[2].index()).front();
+    Candidate base;
+    base.sig = net.create_maj(c0.sig ^ f[0].is_complemented(),
+                              c1.sig ^ f[1].is_complemented(),
+                              c2.sig ^ f[2].is_complemented());
+    base.size = 1 + c0.size + c1.size + c2.size;
+    base.depth = 1 + std::max({c0.depth, c1.depth, c2.depth});
+    insert_candidate(list, base, params.max_candidates);
+  }
+
+  for (const auto& cut : cut_set) {
+    if (cut.size == 1 && cut.leaves[0] == v) continue;
+    const auto leaves = cut.leaf_vector();
+    ++counters.cuts_evaluated;
+    const auto f = mig::simulate_cut(mig, v, leaves);
+    const auto info = oracle.query(f, params.tally);
+    if (!info) continue;
+
+    // Iterate (capped) combinations of leaf candidates in mixed radix.
+    std::vector<uint32_t> radix(leaves.size());
+    uint64_t total = 1;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      radix[i] = static_cast<uint32_t>(candidates_of(cand, leaves[i]).size());
+      total *= radix[i];
+    }
+    total = std::min<uint64_t>(total, params.max_combinations);
+    for (uint64_t combo = 0; combo < total; ++combo) {
+      uint64_t rem = combo;
+      std::vector<const Candidate*> chosen(leaves.size());
+      std::vector<mig::Signal> leaf_signals(leaves.size());
+      uint32_t size = info->size;
+      for (size_t i = 0; i < leaves.size(); ++i) {
+        chosen[i] = &candidates_of(cand, leaves[i])[rem % radix[i]];
+        rem /= radix[i];
+        leaf_signals[i] = chosen[i]->sig;
+        size += chosen[i]->size;
+      }
+      // Depth estimate through the replacement's input-to-output paths.
+      uint32_t depth = 0;
+      for (size_t lv = 0; lv < leaves.size(); ++lv) {
+        if (info->input_depths[lv] < 0) continue;
+        depth = std::max(depth, chosen[lv]->depth +
+                                    static_cast<uint32_t>(info->input_depths[lv]));
+      }
+      if (params.depth_preserving && depth > level) continue;
+      Candidate c;
+      c.sig = oracle.instantiate(f, net, leaf_signals, params.tally);
+      c.size = size;
+      c.depth = depth;
+      insert_candidate(list, c, params.max_candidates);
+      ++counters.replacements;
+    }
+  }
+}
+
 /// One region's DP result: the committed implementation of its root as a
 /// private network over the region's inputs, ready to be spliced.
-struct RegionOutcome {
-  mig::Mig net;                  ///< private network; PI j realizes inputs[j]
-  std::vector<uint32_t> inputs;  ///< original node ids feeding the region
-  mig::Signal chosen;            ///< committed root implementation in `net`
-  uint32_t size = 0;             ///< committed tree-size accounting
-  uint32_t depth = 0;            ///< committed depth accounting
-  RegionCounters counters;
+struct RegionOutcome : shard::RegionNet {
+  uint32_t size = 0;   ///< committed tree-size accounting
+  uint32_t depth = 0;  ///< committed depth accounting
+  StepCounters counters;
 };
 
 /// Runs the candidate DP of one region.  Reads only the original network,
@@ -85,10 +161,8 @@ RegionOutcome process_region(const mig::Mig& mig, ReplacementOracle& oracle,
                              const std::vector<uint32_t>& committed_depth,
                              const std::vector<uint32_t>& members) {
   RegionOutcome outcome;
-  const uint32_t root = members.back();  // largest index = the region root
-
   outcome.inputs = shard::region_inputs(mig, members);
-  std::unordered_map<uint32_t, std::vector<Candidate>> cand;
+  RegionCandidates cand;
   for (const uint32_t f : outcome.inputs) {
     cand.emplace(f, std::vector<Candidate>{{outcome.net.create_pi(),
                                             committed_size[f], committed_depth[f]}});
@@ -97,73 +171,14 @@ RegionOutcome process_region(const mig::Mig& mig, ReplacementOracle& oracle,
                std::vector<Candidate>{{outcome.net.get_constant(false), 0, 0}});
 
   for (const uint32_t v : members) {
-    auto& list = cand[v];
-
-    // Baseline candidate: rebuild the node over its fanins' best candidates.
-    {
-      const auto& f = mig.fanins(v);
-      const Candidate& c0 = cand.at(f[0].index()).front();
-      const Candidate& c1 = cand.at(f[1].index()).front();
-      const Candidate& c2 = cand.at(f[2].index()).front();
-      Candidate base;
-      base.sig = outcome.net.create_maj(c0.sig ^ f[0].is_complemented(),
-                                        c1.sig ^ f[1].is_complemented(),
-                                        c2.sig ^ f[2].is_complemented());
-      base.size = 1 + c0.size + c1.size + c2.size;
-      base.depth = 1 + std::max({c0.depth, c1.depth, c2.depth});
-      insert_candidate(list, base, params.max_candidates);
-    }
-
-    for (const auto& cut : cut_sets[v]) {
-      if (cut.size == 1 && cut.leaves[0] == v) continue;
-      const auto leaves = cut.leaf_vector();
-      ++outcome.counters.cuts_evaluated;
-      const auto f = mig::simulate_cut(mig, v, leaves);
-      const auto info = oracle.query(f, params.tally);
-      if (!info) continue;
-
-      // Iterate (capped) combinations of leaf candidates in mixed radix.
-      std::vector<uint32_t> radix(leaves.size());
-      uint64_t total = 1;
-      for (size_t i = 0; i < leaves.size(); ++i) {
-        radix[i] = static_cast<uint32_t>(cand.at(leaves[i]).size());
-        total *= radix[i];
-      }
-      total = std::min<uint64_t>(total, params.max_combinations);
-      for (uint64_t combo = 0; combo < total; ++combo) {
-        uint64_t rem = combo;
-        std::vector<const Candidate*> chosen(leaves.size());
-        std::vector<mig::Signal> leaf_signals(leaves.size());
-        uint32_t size = info->size;
-        for (size_t i = 0; i < leaves.size(); ++i) {
-          chosen[i] = &cand.at(leaves[i])[rem % radix[i]];
-          rem /= radix[i];
-          leaf_signals[i] = chosen[i]->sig;
-          size += chosen[i]->size;
-        }
-        // Depth estimate through the replacement's input-to-output paths.
-        uint32_t depth = 0;
-        for (size_t lv = 0; lv < leaves.size(); ++lv) {
-          if (info->input_depths[lv] < 0) continue;
-          depth = std::max(depth, chosen[lv]->depth +
-                                      static_cast<uint32_t>(info->input_depths[lv]));
-        }
-        if (params.depth_preserving && depth > levels[v] + params.depth_slack) {
-          continue;
-        }
-        Candidate c;
-        c.sig = oracle.instantiate(f, outcome.net, leaf_signals, params.tally);
-        c.size = size;
-        c.depth = depth;
-        insert_candidate(list, c, params.max_candidates);
-        ++outcome.counters.replacements;
-      }
-    }
+    candidate_step(mig, oracle, params, cut_sets[v], levels[v], v, cand, outcome.net,
+                   outcome.counters);
   }
 
-  // Commit the root to its single best implementation (what the sequential
-  // DP's boundary resize did); the PO confines the splice to its cone.
-  const Candidate& best = cand.at(root).front();
+  // Commit the root (the largest member) to its single best implementation
+  // (what the sequential DP's boundary resize did); the PO confines the
+  // splice to its cone.
+  const Candidate& best = cand.at(members.back()).front();
   outcome.chosen = best.sig;
   outcome.size = best.size;
   outcome.depth = best.depth;
@@ -174,34 +189,22 @@ RegionOutcome process_region(const mig::Mig& mig, ReplacementOracle& oracle,
 /// FFR mode: wave-parallel region DP, then a deterministic splice.
 mig::Mig rewrite_bottom_up_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
                                const RewriteParams& params, RewriteStats& stats) {
-  cuts::CutEnumerationParams cut_params;
-  cut_params.cut_size =
-      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
-  cut_params.max_cuts = params.max_cuts;
+  auto cut_params = cut_params_for(params);
   const auto partition = ffr::compute_ffrs(mig);
   const auto boundary = ffr::ffr_boundary(partition);
   cut_params.boundary = &boundary;
   const auto levels = mig.compute_levels();
-
-  const uint32_t parallelism = params.pool ? params.pool->parallelism() : 1;
   const auto plan =
-      shard::plan_ffr_shards(mig, partition, parallelism > 1 ? parallelism * 4 : 1);
+      shard::plan_ffr_shards(mig, partition, shard::shard_count(params.pool));
 
   // Cut sets for every live gate, enumerated shard-parallel (disjoint slots).
   std::vector<std::vector<cuts::Cut>> cut_sets(mig.num_nodes());
-  auto enumerate_shard = [&](size_t s) {
-    enumerate_cuts_scoped(mig, cut_params, plan.shards[s].nodes, cut_sets);
-  };
-  if (params.pool != nullptr) {
-    params.pool->parallel_for(plan.shards.size(), enumerate_shard);
-  } else {
-    for (size_t s = 0; s < plan.shards.size(); ++s) enumerate_shard(s);
-  }
+  util::parallel_for(params.pool, plan.shards.size(), [&](size_t s) {
+    cuts::enumerate_cuts_scoped(mig, cut_params, plan.shards[s].nodes, cut_sets);
+  });
 
   const auto regions = shard::collect_region_members(mig, partition);
   const auto& live_roots = regions.live_roots;
-  const auto& region_index = regions.region_index;
-  const auto& members = regions.members;
 
   // Wave schedule: regions grouped by dependency level.
   const auto region_level = shard::region_levels(mig, partition);
@@ -211,47 +214,31 @@ mig::Mig rewrite_bottom_up_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
   }
   std::vector<std::vector<uint32_t>> waves(max_level + 1);
   for (const uint32_t root : live_roots) {
-    waves[region_level[root]].push_back(region_index[root]);
+    waves[region_level[root]].push_back(regions.region_index[root]);
   }
 
   std::vector<RegionOutcome> outcomes(live_roots.size());
   std::vector<uint32_t> committed_size(mig.num_nodes(), 0);
   std::vector<uint32_t> committed_depth(mig.num_nodes(), 0);
   for (const auto& wave : waves) {
-    auto run_region = [&](size_t i) {
+    util::parallel_for(params.pool, wave.size(), [&](size_t i) {
       const uint32_t r = wave[i];
       outcomes[r] = process_region(mig, oracle, params, cut_sets, levels,
-                                   committed_size, committed_depth, members[r]);
-      const uint32_t root = live_roots[r];
-      committed_size[root] = outcomes[r].size;
-      committed_depth[root] = outcomes[r].depth;
-    };
-    if (params.pool != nullptr) {
-      params.pool->parallel_for(wave.size(), run_region);
-    } else {
-      for (size_t i = 0; i < wave.size(); ++i) run_region(i);
-    }
+                                   committed_size, committed_depth, regions.members[r]);
+      committed_size[live_roots[r]] = outcomes[r].size;
+      committed_depth[live_roots[r]] = outcomes[r].depth;
+    });
   }
-
-  // Splice: replay every region's committed cone into the result in fixed
-  // topological (= root) order, so structural hashing re-establishes
-  // cross-region sharing exactly as the sequential DP's shared build did.
-  mig::Mig result;
-  std::vector<mig::Signal> committed_sig(mig.num_nodes(), result.get_constant(false));
-  for (uint32_t i = 0; i < mig.num_pis(); ++i) {
-    committed_sig[1 + i] = result.create_pi();
-  }
-  for (const uint32_t root : live_roots) {
-    const RegionOutcome& outcome = outcomes[region_index[root]];
-    committed_sig[root] = shard::splice_region(outcome.net, outcome.inputs,
-                                               outcome.chosen, committed_sig, result);
+  for (const RegionOutcome& outcome : outcomes) {
     stats.cuts_evaluated += outcome.counters.cuts_evaluated;
     stats.replacements += outcome.counters.replacements;
   }
-  for (const mig::Signal o : mig.outputs()) {
-    result.create_po(committed_sig[o.index()] ^ o.is_complemented());
-  }
-  return result;
+
+  // Replaying the committed cones in topological (= root) order lets
+  // structural hashing re-establish cross-region sharing exactly as the
+  // sequential DP's shared build did.
+  return shard::splice_regions(
+      mig, live_roots, [&](size_t i) -> const shard::RegionNet& { return outcomes[i]; });
 }
 
 }  // namespace
@@ -262,86 +249,25 @@ mig::Mig rewrite_bottom_up(const mig::Mig& mig, ReplacementOracle& oracle,
     return rewrite_bottom_up_ffr(mig, oracle, params, stats);
   }
 
-  cuts::CutEnumerationParams cut_params;
-  cut_params.cut_size =
-      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
-  cut_params.max_cuts = params.max_cuts;
-  const auto cut_sets = cuts::enumerate_cuts(mig, cut_params);
+  const auto cut_sets = cuts::enumerate_cuts(mig, cut_params_for(params));
   const auto levels = mig.compute_levels();
 
   mig::Mig result;
-  std::vector<std::vector<Candidate>> cand(mig.num_nodes());
+  DenseCandidates cand(mig.num_nodes());
   cand[mig::Mig::constant_node] = {{result.get_constant(false), 0, 0}};
   for (uint32_t i = 0; i < mig.num_pis(); ++i) {
     cand[1 + i] = {{result.create_pi(), 0, 0}};
   }
 
   const auto live = mig.live_mask();
+  StepCounters counters;
   for (uint32_t v = 0; v < mig.num_nodes(); ++v) {
     if (!mig.is_gate(v) || !live[v]) continue;
-    auto& list = cand[v];
-
-    // Baseline candidate: rebuild the node over its fanins' best candidates.
-    {
-      const auto& f = mig.fanins(v);
-      const Candidate& c0 = cand[f[0].index()].front();
-      const Candidate& c1 = cand[f[1].index()].front();
-      const Candidate& c2 = cand[f[2].index()].front();
-      Candidate base;
-      base.sig = result.create_maj(c0.sig ^ f[0].is_complemented(),
-                                   c1.sig ^ f[1].is_complemented(),
-                                   c2.sig ^ f[2].is_complemented());
-      base.size = 1 + c0.size + c1.size + c2.size;
-      base.depth = 1 + std::max({c0.depth, c1.depth, c2.depth});
-      insert_candidate(list, base, params.max_candidates);
-    }
-
-    for (const auto& cut : cut_sets[v]) {
-      if (cut.size == 1 && cut.leaves[0] == v) continue;
-      const auto leaves = cut.leaf_vector();
-      ++stats.cuts_evaluated;
-      const auto f = mig::simulate_cut(mig, v, leaves);
-      const auto info = oracle.query(f, params.tally);
-      if (!info) continue;
-
-      // Iterate (capped) combinations of leaf candidates in mixed radix.
-      std::vector<uint32_t> radix(leaves.size());
-      uint64_t total = 1;
-      for (size_t i = 0; i < leaves.size(); ++i) {
-        radix[i] = static_cast<uint32_t>(cand[leaves[i]].size());
-        total *= radix[i];
-      }
-      total = std::min<uint64_t>(total, params.max_combinations);
-      for (uint64_t combo = 0; combo < total; ++combo) {
-        uint64_t rem = combo;
-        std::vector<const Candidate*> chosen(leaves.size());
-        std::vector<mig::Signal> leaf_signals(leaves.size());
-        uint32_t size = info->size;
-        for (size_t i = 0; i < leaves.size(); ++i) {
-          chosen[i] = &cand[leaves[i]][rem % radix[i]];
-          rem /= radix[i];
-          leaf_signals[i] = chosen[i]->sig;
-          size += chosen[i]->size;
-        }
-        // Depth estimate through the replacement's input-to-output paths.
-        uint32_t depth = 0;
-        for (size_t lv = 0; lv < leaves.size(); ++lv) {
-          if (info->input_depths[lv] < 0) continue;
-          depth = std::max(depth, chosen[lv]->depth +
-                                      static_cast<uint32_t>(info->input_depths[lv]));
-        }
-        if (params.depth_preserving && depth > levels[v] + params.depth_slack) {
-          continue;
-        }
-        Candidate c;
-        c.sig = oracle.instantiate(f, result, leaf_signals, params.tally);
-        c.size = size;
-        c.depth = depth;
-        insert_candidate(list, c, params.max_candidates);
-        ++stats.replacements;
-      }
-    }
+    candidate_step(mig, oracle, params, cut_sets[v], levels[v], v, cand, result,
+                   counters);
   }
+  stats.cuts_evaluated += counters.cuts_evaluated;
+  stats.replacements += counters.replacements;
 
   for (const mig::Signal o : mig.outputs()) {
     const Candidate& best = cand[o.index()].front();

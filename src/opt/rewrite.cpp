@@ -53,7 +53,6 @@ mig::Mig functional_hashing(const mig::Mig& mig, const exact::Database& db,
                             const RewriteParams& params, RewriteStats* stats) {
   OracleParams oracle_params;
   oracle_params.enable_five_input = params.five_input_cuts;
-  oracle_params.synthesis_conflict_limit = params.synthesis_conflict_limit;
   ReplacementOracle oracle(db, oracle_params);
   return functional_hashing(mig, oracle, params, stats);
 }
@@ -91,6 +90,14 @@ RewriteParams variant_params(const std::string& acronym) {
 
 std::vector<std::string> all_variants() {
   return {"TF", "T", "TFD", "TD", "B", "BF", "BD", "BFD"};
+}
+
+cuts::CutEnumerationParams cut_params_for(const RewriteParams& params) {
+  cuts::CutEnumerationParams cut_params;
+  cut_params.cut_size =
+      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
+  cut_params.max_cuts = params.max_cuts;
+  return cut_params;
 }
 
 std::vector<uint32_t> cut_cone(const mig::Mig& mig, uint32_t root,

@@ -15,8 +15,10 @@ class ThreadPool;
 /// \file rewrite.hpp
 /// \brief MIG size optimization by functional hashing (paper Sec. IV).
 ///
-/// Enumerates 4-feasible cuts and replaces them with precomputed minimum MIGs
-/// from the NPN database.  Variants (paper Sec. V-C naming):
+/// Enumerates k-feasible cuts and replaces each with a minimum MIG for its
+/// function, served by a ReplacementOracle: the precomputed NPN database for
+/// 4-input cuts, cached on-demand synthesis for 5-input cuts.  Variants
+/// (paper Sec. V-C naming):
 ///   T   top-down                       B   bottom-up
 ///   TD  top-down, depth-preserving     BD  bottom-up, depth-preserving
 ///   TF  top-down over fanout-free regions, etc.
@@ -35,9 +37,8 @@ struct RewriteParams {
   /// Partition into fanout-free regions first (paper Sec. IV-C).
   bool ffr_partition = false;
   /// Depth-preserving heuristic: discard replacements that locally increase
-  /// the node's level (paper Sec. IV-A) by more than `depth_slack`.
+  /// the node's level (paper Sec. IV-A).
   bool depth_preserving = false;
-  uint32_t depth_slack = 0;
   uint32_t cut_size = 4;
   /// Cap on stored cuts per node (0 = exhaustive).
   uint32_t max_cuts = 0;
@@ -48,10 +49,10 @@ struct RewriteParams {
   uint32_t max_combinations = 16;
   /// Extension discussed in the paper (Sec. IV, ref. [9]): also rewrite
   /// 5-input cuts, with minimum structures synthesized on demand and cached
-  /// (the full 5-variable NPN enumeration being impractical).
+  /// (the full 5-variable NPN enumeration being impractical).  The oracle's
+  /// OracleParams decide whether and within which budget 5-input cuts get
+  /// answers.
   bool five_input_cuts = false;
-  /// Conflict budget per on-demand synthesis decision problem.
-  int64_t synthesis_conflict_limit = 20000;
   /// Worker pool for the fanout-free-region variants: their per-region
   /// analysis (cut enumeration, simulation, oracle queries, candidate
   /// search) runs on balanced FFR shards concurrently, followed by a
@@ -91,7 +92,8 @@ mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
                             const RewriteParams& params = {},
                             RewriteStats* stats = nullptr);
 
-/// Single-shot convenience overload: builds a private oracle per call.
+/// Single-shot convenience overload: builds a private oracle per call, with
+/// 5-input answers iff `params.five_input_cuts` and default OracleParams else.
 /// Deprecated shim for pre-`flow` callers — nothing is shared between calls,
 /// so iterated flows pay the oracle warm-up every pass.
 mig::Mig functional_hashing(const mig::Mig& mig, const exact::Database& db,
@@ -107,6 +109,10 @@ RewriteParams variant_params(const std::string& acronym);
 std::vector<std::string> all_variants();
 
 // --- shared internals (exposed for the two drivers and for tests) -----------
+
+/// Cut enumeration settings of a pass: `cut_size` (at least 5 with
+/// `five_input_cuts`) and `max_cuts`.
+cuts::CutEnumerationParams cut_params_for(const RewriteParams& params);
 
 /// Gates in the cone of (root, leaves), root included, leaves excluded.
 /// Returns an empty vector if the cone would cross a terminal not listed as

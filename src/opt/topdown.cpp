@@ -13,14 +13,15 @@
 /// fanins.  Implemented as an explicit two-phase pass (plan top-down, build
 /// bottom-up) so deep networks cannot overflow the stack.
 ///
-/// In FFR mode the plan phase decomposes perfectly: cuts are confined to
-/// fanout-free regions, so the plan chosen for a node depends only on its own
-/// region (plus the shared read-only oracle) — never on planning order.  The
-/// driver therefore plans balanced shards of whole regions concurrently and
-/// merges by a deterministic sequential rebuild, which makes the result
-/// bit-identical for every thread count.  Global mode keeps the sequential
-/// walk: its cuts cross region boundaries, so no disjoint decomposition
-/// exists.
+/// One plan walk serves both modes; they differ only in where it starts and
+/// which nodes it may enter.  Global mode walks once from the outputs over
+/// every gate.  In FFR mode cuts are confined to fanout-free regions, so the
+/// plan chosen for a node depends only on its own region (plus the shared
+/// read-only oracle): the walk runs once per region from its root, on
+/// balanced shards of whole regions concurrently, and a deterministic
+/// sequential rebuild merges the plans — bit-identical for every thread
+/// count.  Global cuts cross region boundaries, so that mode has no disjoint
+/// decomposition and walks sequentially.
 
 namespace mighty::opt {
 
@@ -28,7 +29,7 @@ namespace {
 
 struct Plan {
   bool replace = false;
-  bool visited = false;  ///< planning reached this node (FFR mode bookkeeping)
+  bool visited = false;  ///< the plan walk reached this node
   std::vector<uint32_t> leaves;
   tt::TruthTable func;  ///< cut function over the leaves
 };
@@ -38,16 +39,23 @@ struct PlanCounters {
   uint64_t replacements = 0;
 };
 
+/// What planning reads, shared by both modes.
+struct PlanInputs {
+  const mig::Mig& mig;
+  ReplacementOracle& oracle;
+  const RewriteParams& params;
+  const std::vector<std::vector<cuts::Cut>>& cut_sets;
+  const std::vector<uint32_t>& fanout;
+  const std::vector<uint32_t>& levels;
+};
+
 /// Chooses the best replacement cut for `v`, or nullopt to keep the node.
-std::optional<Plan> choose_plan(const mig::Mig& mig, ReplacementOracle& oracle,
-                                const RewriteParams& params,
-                                const std::vector<cuts::Cut>& cut_set,
-                                const std::vector<uint32_t>& fanout,
-                                const std::vector<uint32_t>& levels, uint32_t v,
+std::optional<Plan> choose_plan(const PlanInputs& in, uint32_t v,
                                 PlanCounters& counters) {
+  const auto& [mig, oracle, params, cut_sets, fanout, levels] = in;
   int best_gain = 0;
   std::optional<Plan> best;
-  for (const auto& cut : cut_set) {
+  for (const auto& cut : cut_sets[v]) {
     if (cut.size == 1 && cut.leaves[0] == v) continue;  // trivial cut
     const auto leaves = cut.leaf_vector();
     const auto cone = cut_cone(mig, v, leaves);
@@ -72,7 +80,7 @@ std::optional<Plan> choose_plan(const mig::Mig& mig, ReplacementOracle& oracle,
         new_level = std::max(new_level, levels[leaves[lv]] +
                                             static_cast<uint32_t>(info->input_depths[lv]));
       }
-      if (new_level > levels[v] + params.depth_slack) continue;
+      if (new_level > levels[v]) continue;
     }
     best_gain = gain;
     best = Plan{true, true, leaves, f};
@@ -80,36 +88,34 @@ std::optional<Plan> choose_plan(const mig::Mig& mig, ReplacementOracle& oracle,
   return best;
 }
 
-/// Plans one fanout-free region top-down from its root.  Writes only to the
-/// region's own plan slots, so regions plan concurrently without contention.
-void plan_region(const mig::Mig& mig, ReplacementOracle& oracle,
-                 const RewriteParams& params,
-                 const std::vector<std::vector<cuts::Cut>>& cut_sets,
-                 const std::vector<uint32_t>& fanout,
-                 const std::vector<uint32_t>& levels,
-                 const ffr::FfrPartition& partition, uint32_t root,
-                 std::vector<Plan>& plans, PlanCounters& counters) {
-  const auto in_region = [&](uint32_t n) {
-    return mig.is_gate(n) && partition.region_root[n] == root;
-  };
-  std::vector<uint32_t> stack{root};
+/// Phase 1: walks top-down from `roots`, planning every reached node for
+/// which `in_scope` holds and entering no other node.  Plans depend only on
+/// the node, never on visit order.  Writes only the plan slots of in-scope
+/// nodes, so walks over disjoint scopes run concurrently without contention.
+template <typename InScope>
+void plan_walk(const PlanInputs& in, const std::vector<uint32_t>& roots,
+               const InScope& in_scope, std::vector<Plan>& plans,
+               PlanCounters& counters) {
+  std::vector<uint32_t> stack;
+  for (const uint32_t r : roots) {
+    if (in_scope(r)) stack.push_back(r);
+  }
   while (!stack.empty()) {
     const uint32_t v = stack.back();
     stack.pop_back();
     if (plans[v].visited) continue;
     plans[v].visited = true;
 
-    auto best = choose_plan(mig, oracle, params, cut_sets[v], fanout, levels, v,
-                            counters);
+    auto best = choose_plan(in, v, counters);
     if (best) {
       plans[v] = std::move(*best);
       ++counters.replacements;
       for (const uint32_t l : plans[v].leaves) {
-        if (in_region(l)) stack.push_back(l);
+        if (in_scope(l)) stack.push_back(l);
       }
     } else {
-      for (const mig::Signal s : mig.fanins(v)) {
-        if (in_region(s.index())) stack.push_back(s.index());
+      for (const mig::Signal s : in.mig.fanins(v)) {
+        if (in_scope(s.index())) stack.push_back(s.index());
       }
     }
   }
@@ -161,97 +167,54 @@ mig::Mig rebuild_from_plans(const mig::Mig& mig, ReplacementOracle& oracle,
   return result;
 }
 
-/// FFR mode: plan shards of whole regions concurrently, then rebuild.
-///
-/// Every live region is planned, including the rare region that ends up
-/// unreachable because every replacement referencing its root bypassed it.
-/// That is deliberate: reachability-under-plans is only known after planning,
-/// so skipping such regions would reintroduce a sequential dependency (and
-/// thread-count-dependent stats).  The cost is bounded by the region's cut
-/// work and shows up identically at every thread count.
-mig::Mig rewrite_top_down_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
-                              const RewriteParams& params, RewriteStats& stats) {
-  cuts::CutEnumerationParams cut_params;
-  cut_params.cut_size =
-      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
-  cut_params.max_cuts = params.max_cuts;
-  const auto partition = ffr::compute_ffrs(mig);
-  const auto boundary = ffr::ffr_boundary(partition);
-  cut_params.boundary = &boundary;
+}  // namespace
+
+/// In FFR mode every live region is planned, including the rare region that
+/// ends up unreachable because every replacement referencing its root
+/// bypassed it.  That is deliberate: reachability-under-plans is only known
+/// after planning, so skipping such regions would reintroduce a sequential
+/// dependency (and thread-count-dependent stats).  The cost is bounded by the
+/// region's cut work and shows up identically at every thread count.
+mig::Mig rewrite_top_down(const mig::Mig& mig, ReplacementOracle& oracle,
+                          const RewriteParams& params, RewriteStats& stats) {
+  auto cut_params = cut_params_for(params);
   const auto fanout = mig.compute_fanout_counts();
   const auto levels = mig.compute_levels();
-
-  const uint32_t parallelism = params.pool ? params.pool->parallelism() : 1;
-  // A few shards per thread lets the dynamic scheduler even out skewed
-  // region sizes; the plan itself never affects the result.
-  const auto plan =
-      shard::plan_ffr_shards(mig, partition, parallelism > 1 ? parallelism * 4 : 1);
-
-  std::vector<std::vector<cuts::Cut>> cut_sets(mig.num_nodes());
+  std::vector<std::vector<cuts::Cut>> cut_sets;
+  const PlanInputs in{mig, oracle, params, cut_sets, fanout, levels};
   std::vector<Plan> plans(mig.num_nodes());
-  std::vector<PlanCounters> counters(plan.shards.size());
-  auto run_shard = [&](size_t s) {
-    const auto& shard = plan.shards[s];
-    enumerate_cuts_scoped(mig, cut_params, shard.nodes, cut_sets);
-    for (const uint32_t root : shard.roots) {
-      plan_region(mig, oracle, params, cut_sets, fanout, levels, partition, root,
-                  plans, counters[s]);
-    }
-  };
-  if (params.pool != nullptr) {
-    params.pool->parallel_for(plan.shards.size(), run_shard);
+  std::vector<PlanCounters> counters;
+
+  if (!params.ffr_partition) {
+    cut_sets = cuts::enumerate_cuts(mig, cut_params);
+    std::vector<uint32_t> roots;
+    for (const mig::Signal o : mig.outputs()) roots.push_back(o.index());
+    counters.resize(1);
+    plan_walk(in, roots, [&](uint32_t n) { return mig.is_gate(n); }, plans,
+              counters[0]);
   } else {
-    for (size_t s = 0; s < plan.shards.size(); ++s) run_shard(s);
+    const auto partition = ffr::compute_ffrs(mig);
+    const auto boundary = ffr::ffr_boundary(partition);
+    cut_params.boundary = &boundary;
+    const auto plan =
+        shard::plan_ffr_shards(mig, partition, shard::shard_count(params.pool));
+    cut_sets.resize(mig.num_nodes());
+    counters.resize(plan.shards.size());
+    util::parallel_for(params.pool, plan.shards.size(), [&](size_t s) {
+      const auto& shard = plan.shards[s];
+      cuts::enumerate_cuts_scoped(mig, cut_params, shard.nodes, cut_sets);
+      for (const uint32_t root : shard.roots) {
+        const auto in_region = [&](uint32_t n) {
+          return mig.is_gate(n) && partition.region_root[n] == root;
+        };
+        plan_walk(in, {root}, in_region, plans, counters[s]);
+      }
+    });
   }
   for (const auto& c : counters) {
     stats.cuts_evaluated += c.cuts_evaluated;
     stats.replacements += c.replacements;
   }
-  return rebuild_from_plans(mig, oracle, plans, params.tally);
-}
-
-}  // namespace
-
-mig::Mig rewrite_top_down(const mig::Mig& mig, ReplacementOracle& oracle,
-                          const RewriteParams& params, RewriteStats& stats) {
-  if (params.ffr_partition) {
-    return rewrite_top_down_ffr(mig, oracle, params, stats);
-  }
-
-  cuts::CutEnumerationParams cut_params;
-  cut_params.cut_size =
-      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
-  cut_params.max_cuts = params.max_cuts;
-  const auto cut_sets = cuts::enumerate_cuts(mig, cut_params);
-  const auto fanout = mig.compute_fanout_counts();
-  const auto levels = mig.compute_levels();
-
-  // Phase 1: choose, per needed node, the best replacement cut.  The choice
-  // for a node never depends on other nodes' choices, only on which nodes
-  // the walk reaches.
-  std::vector<Plan> plans(mig.num_nodes());
-  PlanCounters counters;
-  std::vector<uint32_t> stack;
-  for (const mig::Signal o : mig.outputs()) stack.push_back(o.index());
-  while (!stack.empty()) {
-    const uint32_t v = stack.back();
-    stack.pop_back();
-    if (plans[v].visited) continue;
-    plans[v].visited = true;
-    if (!mig.is_gate(v)) continue;
-
-    auto best =
-        choose_plan(mig, oracle, params, cut_sets[v], fanout, levels, v, counters);
-    if (best) {
-      plans[v] = std::move(*best);
-      ++counters.replacements;
-      for (const uint32_t l : plans[v].leaves) stack.push_back(l);
-    } else {
-      for (const mig::Signal s : mig.fanins(v)) stack.push_back(s.index());
-    }
-  }
-  stats.cuts_evaluated += counters.cuts_evaluated;
-  stats.replacements += counters.replacements;
   return rebuild_from_plans(mig, oracle, plans, params.tally);
 }
 

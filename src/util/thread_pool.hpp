@@ -146,4 +146,16 @@ private:
   bool stop_ MIGHTY_GUARDED_BY(mutex_) = false;
 };
 
+/// Runs fn(i) for every i in [0, count): on `pool` when there is one, else
+/// inline in index order.  The sharded passes take an optional pool; this is
+/// their single "pool or loop" branch.
+inline void parallel_for(ThreadPool* pool, size_t count,
+                         const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(count, fn);
+  } else {
+    for (size_t i = 0; i < count; ++i) fn(i);
+  }
+}
+
 }  // namespace mighty::util

@@ -240,6 +240,19 @@ TEST(FlowSessionTest, OracleMaterializesLazilyAndIsShared) {
   EXPECT_GT(session.oracle_if_created()->queries(), queries_after_first);
 }
 
+TEST(FlowSessionTest, FiveInputPassesRunOnTheSessionOracle) {
+  // The session's oracle params govern every rewrite pass: a starved
+  // conflict budget must show up as failures cached in the session oracle,
+  // and the report must charge exactly those.
+  SessionParams params;
+  params.oracle.synthesis_conflict_limit = 1;
+  Session session(db(), params);
+  FlowReport report;
+  Pipeline().rewrite("TF5").run(gen::make_adder_n(10), session, &report);
+  EXPECT_GT(report.oracle_failures, 0u);
+  EXPECT_EQ(session.oracle().cache_stats().failures, report.oracle_failures);
+}
+
 // --- persistent oracle cache through the flow layer --------------------------
 
 TEST(FlowParseTest, CacheDirectiveParsesAndRoundTrips) {

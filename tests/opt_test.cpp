@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <random>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "cec/cec.hpp"
 #include "gen/arith.hpp"
+#include "io/io.hpp"
 #include "mig/algebra/algebra.hpp"
 #include "mig/simulation.hpp"
+#include "opt/oracle.hpp"
 #include "test_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mighty::opt {
 namespace {
@@ -248,6 +255,133 @@ TEST(RewriteTest, IdempotentOnDatabaseOptimum) {
     const uint32_t before = m.count_live_gates();
     const auto optimized = functional_hashing(m, db(), variant_params("T"));
     EXPECT_EQ(optimized.count_live_gates(), before) << "f=0x" << f.to_hex();
+  }
+}
+
+// --- golden rewrite outputs --------------------------------------------------
+//
+// Exact outputs of every rewrite pass on fixed inputs.  Any change to these
+// values is a behaviour change of the rewriting engine and must be justified
+// as one.
+
+/// FNV-1a of the network's BLIF text: pins the structure, not just counts.
+uint64_t blif_fingerprint(const mig::Mig& m) {
+  std::ostringstream os;
+  io::write_blif(os, m);
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : os.str()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct GoldenRow {
+  const char* network;  ///< see golden_input()
+  const char* pass;     ///< variant acronym (trailing 5: 5-input cuts) or "size"
+  uint32_t gates;
+  uint32_t depth;
+  uint64_t blif_fnv;
+  uint64_t cuts_evaluated;  ///< 0 for "size"
+  uint64_t replacements;    ///< "size": distributivity applications
+};
+
+mig::Mig golden_input(const std::string& network) {
+  if (network == "adder16") return algebra::depth_optimize(gen::make_adder_n(16));
+  if (network == "mult6") return algebra::depth_optimize(gen::make_multiplier_n(6));
+  if (network == "sine6") return algebra::depth_optimize(gen::make_sine_n(6));
+  if (network == "adder10") return gen::make_adder_n(10);
+  throw std::invalid_argument("unknown golden network " + network);
+}
+
+GoldenRow run_golden(const GoldenRow& row, util::ThreadPool* pool) {
+  const mig::Mig input = golden_input(row.network);
+  const std::string pass = row.pass;
+  GoldenRow actual = row;
+  mig::Mig out;
+  if (pass == "size") {
+    algebra::SizeOptParams params;
+    params.pool = pool;
+    algebra::AlgebraStats stats;
+    out = algebra::size_optimize(input, params, &stats);
+    actual.cuts_evaluated = 0;
+    actual.replacements = stats.applied_distributivity;
+  } else {
+    const bool five = pass.back() == '5';
+    auto params = variant_params(five ? pass.substr(0, pass.size() - 1) : pass);
+    params.five_input_cuts = five;
+    params.pool = pool;
+    OracleParams oracle_params;
+    oracle_params.enable_five_input = five;
+    ReplacementOracle oracle(db(), oracle_params);
+    RewriteStats stats;
+    out = functional_hashing(input, oracle, params, &stats);
+    actual.cuts_evaluated = stats.cuts_evaluated;
+    actual.replacements = stats.replacements;
+  }
+  actual.gates = out.count_live_gates();
+  actual.depth = out.depth();
+  actual.blif_fnv = blif_fingerprint(out);
+  return actual;
+}
+
+std::string format_row(const GoldenRow& r) {
+  char buffer[160];
+  std::snprintf(buffer, sizeof(buffer),
+                "{\"%s\", \"%s\", %u, %u, 0x%016llxull, %llu, %llu},", r.network,
+                r.pass, r.gates, r.depth,
+                static_cast<unsigned long long>(r.blif_fnv),
+                static_cast<unsigned long long>(r.cuts_evaluated),
+                static_cast<unsigned long long>(r.replacements));
+  return buffer;
+}
+
+const GoldenRow kGolden[] = {
+    {"adder16", "T", 234, 11, 0x1d8e43a2a4b36be0ull, 298, 13},
+    {"adder16", "TD", 258, 9, 0x3aa79de715420f5full, 442, 0},
+    {"adder16", "TF", 234, 11, 0x1d8e43a2a4b36be0ull, 313, 13},
+    {"adder16", "TFD", 258, 9, 0x3aa79de715420f5full, 457, 0},
+    {"adder16", "B", 250, 12, 0x642010e79e9f4c4eull, 1779, 11504},
+    {"adder16", "BD", 302, 9, 0xaa49436dbd5311a5ull, 1779, 2593},
+    {"adder16", "BF", 234, 12, 0x43309c5b4ac1f177ull, 457, 652},
+    {"adder16", "BFD", 258, 9, 0x35ac52a46b8d0e43ull, 457, 326},
+    {"adder16", "size", 258, 9, 0x3aa79de715420f5full, 0, 0},
+    {"mult6", "T", 432, 19, 0xc9aada4552644875ull, 634, 13},
+    {"mult6", "TD", 441, 18, 0x8815ae8cbaee1b34ull, 662, 7},
+    {"mult6", "TF", 432, 19, 0xc9aada4552644875ull, 659, 13},
+    {"mult6", "TFD", 441, 18, 0x8815ae8cbaee1b34ull, 687, 7},
+    {"mult6", "B", 408, 20, 0x0bab296dcc2e9464ull, 3059, 26389},
+    {"mult6", "BD", 409, 18, 0x3ca029a95da2ba47ull, 3059, 20008},
+    {"mult6", "BF", 432, 22, 0x61b90e51d19213f3ull, 703, 894},
+    {"mult6", "BFD", 441, 18, 0xf619c34cb730a3fcull, 703, 682},
+    {"mult6", "size", 434, 18, 0xfd07c6e656e8965cull, 0, 11},
+    {"sine6", "T", 1021, 49, 0xe5b9ec1d7552a7f6ull, 1700, 97},
+    {"sine6", "TD", 1117, 45, 0x392cc56583a5468aull, 1867, 44},
+    {"sine6", "TF", 1026, 48, 0xe17357035fa6d2e9ull, 1708, 95},
+    {"sine6", "TFD", 1119, 45, 0x904d83825399ad6bull, 1880, 43},
+    {"sine6", "B", 968, 50, 0x72d3f7089454c0d5ull, 6589, 79297},
+    {"sine6", "BD", 1031, 44, 0x56f3e6113625f53bull, 6589, 65463},
+    {"sine6", "BF", 1027, 65, 0x098198251d2e836full, 1990, 2357},
+    {"sine6", "BFD", 1120, 45, 0x6d9363da901f1618ull, 1990, 1833},
+    {"sine6", "size", 969, 50, 0xc489d938504ee208ull, 0, 127},
+    {"adder10", "TF5", 122, 11, 0xc230d663223cce1aull, 215, 0},
+    {"adder10", "BF5", 122, 12, 0x4ef8137daa5db068ull, 215, 255},
+};
+
+TEST(GoldenRewriteTest, OutputsArePinnedAtEveryThreadCount) {
+  util::ThreadPool pool(4);
+  for (const GoldenRow& row : kGolden) {
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+      const GoldenRow actual = run_golden(row, p);
+      SCOPED_TRACE(std::string(row.network) + " " + row.pass +
+                   (p ? " threads 4" : " threads 1") + "\n  actual: " +
+                   format_row(actual));
+      EXPECT_EQ(actual.gates, row.gates);
+      EXPECT_EQ(actual.depth, row.depth);
+      EXPECT_EQ(actual.blif_fnv, row.blif_fnv);
+      EXPECT_EQ(actual.cuts_evaluated, row.cuts_evaluated);
+      EXPECT_EQ(actual.replacements, row.replacements);
+    }
   }
 }
 

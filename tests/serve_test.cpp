@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -249,7 +250,10 @@ TEST(ServeTest, ProtocolEdgeCasesKeepOrCloseTheConnectionCorrectly) {
 }
 
 TEST(ServeTest, ShutdownFrameIsSingleUse) {
-  bool requested = false;
+  // Written on the server's connection thread, read here: the hook runs
+  // before the server half-closes the socket, so the EOF below orders the
+  // two, but only the atomic makes that ordering visible to TSan.
+  std::atomic<bool> requested{false};
   api::LocalService service;
   ServerParams params;
   params.socket_path = unique_socket_path("shutdown");
