@@ -97,7 +97,7 @@ struct ServiceStats {
 
 /// Outcome of a cache_load / snapshot of cache_stats.
 struct CacheInfo {
-  size_t entries = 0;  ///< entries in the in-memory 5-input cache
+  size_t entries = 0;  ///< NPN classes in the in-memory 5-input cache
   size_t dirty = 0;    ///< entries not yet persisted
   size_t adopted = 0;  ///< entries a load newly merged (load only)
   /// Load outcome: "loaded", "missing" or "malformed"; empty for stats.

@@ -644,10 +644,13 @@ CheckReport lint_cache_file(const std::string& path) {
   std::string magic, version;
   size_t count = 0;
   if (!(hs >> magic >> version >> count) || magic != "mighty-mig-5cut-cache" ||
-      version != "v1") {
+      (version != "v1" && version != "v2")) {
     report.add(Code::artifact_header, 1, "bad header: \"" + header + '"');
     return report;
   }
+  // v2 keys every line by its NPN class representative; v1 keyed raw
+  // functions (still loadable: the oracle migrates it).
+  const bool class_keyed = version == "v2";
 
   std::unordered_set<uint64_t> seen;
   uint64_t previous_key = 0;
@@ -684,6 +687,14 @@ CheckReport lint_cache_file(const std::string& path) {
     if (have_previous && f.bits() <= previous_key) ordered = false;
     previous_key = f.bits();
     have_previous = true;
+    if (class_keyed) {
+      const auto canon = npn::canonize(f);
+      if (!(canon.representative == f)) {
+        report.add(Code::artifact_not_canonical, line_number,
+                   "key 0x" + hex + " is not a class representative (canonizes to 0x" +
+                       canon.representative.to_hex() + ")");
+      }
+    }
 
     if (status == "ok") {
       std::string rest;

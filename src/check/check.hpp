@@ -201,7 +201,8 @@ CheckReport lint_database(const exact::Database& db);
 /// 5-input oracle cache file lint, beyond the loader's wholesale accept/
 /// reject: per-line diagnostics (`node` = 1-based line), canonical-form keys
 /// (the stored chain must re-serialize to the stored line and realize the
-/// key function), budget monotonicity (a failure must record either the
+/// key function; in a v2 file every key must be its own NPN class
+/// representative, while v1 files key raw functions), budget monotonicity (a failure must record either the
 /// unlimited -1 budget — proved absent, never retry — or a positive conflict
 /// budget; 0 would freeze a never-attempted failure forever), and sorted
 /// keys (save_cache writes sorted; disorder flags hand-editing — warning).

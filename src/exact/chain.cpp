@@ -56,6 +56,25 @@ mig::Signal MigChain::instantiate(mig::Mig& mig,
   return value_of(output);
 }
 
+MigChain apply_transform(const MigChain& chain, const npn::Transform& t) {
+  MIGHTY_ASSERT(chain.num_vars == t.num_vars);
+  // h(x) = f(y) ^ o with y_i = x_{perm[i]} ^ neg_i: input i of f becomes
+  // variable perm[i] of h, complemented when t negates input i.
+  const auto remap = [&](RefLit l) {
+    const uint32_t ref = ref_of(l);
+    if (ref == 0 || ref > chain.num_vars) return l;
+    const uint32_t i = ref - 1;
+    return make_ref_lit(t.perm[i] + 1u,
+                        ref_complemented(l) != (((t.input_negations >> i) & 1) != 0));
+  };
+  MigChain result = chain;
+  for (MigChain::Step& step : result.steps) {
+    for (RefLit& l : step.fanin) l = remap(l);
+  }
+  result.output = static_cast<RefLit>(remap(chain.output) ^ (t.output_negation ? 1 : 0));
+  return result;
+}
+
 std::string MigChain::to_string() const {
   std::ostringstream os;
   os << num_vars << ' ' << steps.size() << ' ' << output;

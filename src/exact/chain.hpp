@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mig/mig.hpp"
+#include "npn/npn.hpp"
 #include "tt/truth_table.hpp"
 
 /// \file chain.hpp
@@ -62,5 +63,11 @@ struct MigChain {
   std::string to_string() const;
   static MigChain from_string(const std::string& line);
 };
+
+/// The chain of the same size and depth that computes
+/// npn::apply(chain.simulate(), t): input references are permuted and
+/// complemented per `t`, the output per its output negation.  This is how
+/// one chain serves every member of an NPN class.
+MigChain apply_transform(const MigChain& chain, const npn::Transform& t);
 
 }  // namespace mighty::exact

@@ -189,6 +189,35 @@ void OnehotEncoder::encode() {
   }
 }
 
+void OnehotEncoder::encode_depth_levels() {
+  MIGHTY_ASSERT(deeper_.empty() && !s_.empty());
+  deeper_.resize(k_);
+  for (uint32_t l = 0; l < k_; ++l) {
+    for (uint32_t e = 1; e <= l; ++e) deeper_[l].push_back(solver_.new_var());
+    // Unary order: deeper than e + 1 implies deeper than e.
+    for (uint32_t e = 2; e <= l; ++e) {
+      solver_.add_clause({lit(deeper_[l][e - 1], true), lit(deeper_[l][e - 2])});
+    }
+  }
+  for (uint32_t l = 1; l < k_; ++l) {
+    for (uint32_t c = 0; c < 3; ++c) {
+      for (uint32_t m = 0; m < l; ++m) {
+        const Lit sel = lit(s_[l][c][n_ + 1 + m]);
+        solver_.add_clause({negate(sel), lit(deeper_[l][0])});
+        for (uint32_t e = 1; e <= m; ++e) {
+          solver_.add_clause(
+              {negate(sel), lit(deeper_[m][e - 1], true), lit(deeper_[l][e])});
+        }
+      }
+    }
+  }
+}
+
+sat::Lit OnehotEncoder::root_deeper_than(uint32_t depth) const {
+  MIGHTY_ASSERT(!deeper_.empty() && depth >= 1 && depth < k_);
+  return lit(deeper_[k_ - 1][depth - 1]);
+}
+
 MigChain OnehotEncoder::extract() const {
   MigChain chain;
   chain.num_vars = n_;

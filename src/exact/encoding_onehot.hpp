@@ -22,6 +22,17 @@ public:
   void encode() override;
   MigChain extract() const override;
 
+  /// Opt-in depth bound, added after encode() — typically once the size-k
+  /// problem came back SAT, so the size search itself is unchanged.  Adds
+  /// level variables d[l][e] ("gate l is deeper than e"), forced by every
+  /// gate fanin: selecting gate m makes gate l deeper than 1, and selecting
+  /// a gate m deeper than e makes gate l deeper than e + 1.  Since the
+  /// levels are only ever forced upward, solving under the negation of
+  /// root_deeper_than(d) asks exactly for a k-gate chain of depth <= d.
+  void encode_depth_levels();
+  /// The literal "the root gate is deeper than `depth`", 1 <= depth < k.
+  sat::Lit root_deeper_than(uint32_t depth) const;
+
 private:
   uint32_t domain_size(uint32_t l) const { return 1 + n_ + l; }
 
@@ -36,6 +47,8 @@ private:
   std::vector<std::array<sat::Var, 3>> p_;
   std::vector<std::array<std::vector<sat::Var>, 3>> a_;
   std::vector<std::vector<sat::Var>> b_;
+  /// deeper_[l][e - 1] <-> gate l is deeper than e, for 1 <= e <= l.
+  std::vector<std::vector<sat::Var>> deeper_;
 };
 
 }  // namespace mighty::exact

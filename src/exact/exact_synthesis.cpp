@@ -49,6 +49,13 @@ SynthesisResult synthesize_minimum_mig(const tt::TruthTable& f,
     return result;
   }
 
+  const auto extract_checked = [&](const Encoder& encoder) {
+    MigChain chain = encoder.extract();
+    if (options.verify && chain.simulate() != f) {
+      throw std::logic_error("exact synthesis extracted a non-equivalent chain");
+    }
+    return chain;
+  };
   for (uint32_t k = 1; k <= options.max_gates; ++k) {
     sat::Solver solver;
     std::unique_ptr<Encoder> encoder;
@@ -65,11 +72,27 @@ SynthesisResult synthesize_minimum_mig(const tt::TruthTable& f,
       return result;
     }
     if (r == sat::Result::sat) {
-      result.chain = encoder->extract();
-      if (options.verify && result.chain.simulate() != f) {
-        throw std::logic_error("exact synthesis extracted a non-equivalent chain");
-      }
+      result.chain = extract_checked(*encoder);
       result.status = SynthesisStatus::success;
+      auto* onehot = dynamic_cast<OnehotEncoder*>(encoder.get());
+      if (options.minimize_depth && onehot != nullptr && result.chain.depth() > 2) {
+        // Depth steps reuse this solver and its learnt clauses; the level
+        // variables are added only now, so the size search above is the
+        // same with or without minimize_depth.
+        onehot->encode_depth_levels();
+        for (uint32_t d = result.chain.depth() - 1; d >= 2;) {
+          const uint64_t before = solver.stats().conflicts;
+          const sat::Result rd =
+              solver.solve({negate(onehot->root_deeper_than(d))}, options.conflict_limit);
+          result.conflicts_per_depth_step.push_back(solver.stats().conflicts - before);
+          if (rd != sat::Result::sat) break;
+          result.chain = extract_checked(*encoder);
+          if (result.chain.depth() > d) {
+            throw std::logic_error("exact synthesis depth step exceeded its bound");
+          }
+          d = result.chain.depth() - 1;
+        }
+      }
       return result;
     }
   }

@@ -31,6 +31,12 @@ struct SynthesisOptions {
   /// If set, the chain is re-simulated and checked against f after
   /// extraction (cheap; on by default as a safety net).
   bool verify = true;
+  /// After the size-minimum answer, also minimize depth among chains of
+  /// that size: the same solver re-solves under "root no deeper than d" for
+  /// d = depth - 1 down to 2 and stops at the first answer that is not SAT
+  /// (one-hot encoder only).  Each depth step has the same conflict budget;
+  /// a timed-out depth step keeps the best chain found so far.
+  bool minimize_depth = false;
 };
 
 enum class SynthesisStatus {
@@ -44,6 +50,8 @@ struct SynthesisResult {
   MigChain chain;  ///< valid iff status == success
   /// Conflicts spent per decision problem, indexed by gate count offset.
   std::vector<uint64_t> conflicts_per_step;
+  /// Conflicts spent per depth step (minimize_depth), in solve order.
+  std::vector<uint64_t> conflicts_per_depth_step;
 };
 
 /// Finds a size-minimum MIG chain for f (up to 6 variables).

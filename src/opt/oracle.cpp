@@ -15,7 +15,10 @@ namespace mighty::opt {
 namespace {
 
 constexpr const char* kCacheMagic = "mighty-mig-5cut-cache";
-constexpr const char* kCacheVersion = "v1";
+/// v2 keys lines by NPN class representative; v1 (raw functions) loads
+/// through migration.
+constexpr const char* kCacheVersion = "v2";
+constexpr const char* kCacheVersionV1 = "v1";
 
 /// Bumps a lifetime counter and its optional per-scope mirror.
 void bump(std::atomic<uint64_t>& global, OracleTally* tally,
@@ -34,25 +37,36 @@ int64_t budget_rank(int64_t budget) {
 uint64_t total_conflicts(const exact::SynthesisResult& result) {
   uint64_t total = 0;
   for (const uint64_t c : result.conflicts_per_step) total += c;
+  for (const uint64_t c : result.conflicts_per_depth_step) total += c;
   return total;
 }
 
 }  // namespace
 
+/// Union semantics of a merge: a success always beats a failure; between
+/// two successes the held one is kept — both are proven minima of the same
+/// class, and replacing a chain would dangle the stable pointers
+/// class_chain hands out; between failures the one produced under the
+/// larger budget wins.
+bool ReplacementOracle::supersedes(const CacheEntry& incoming, const CacheEntry& held) {
+  return incoming.chain
+             ? !held.chain
+             : (!held.chain && budget_rank(incoming.budget) > budget_rank(held.budget));
+}
+
 ReplacementOracle::ReplacementOracle(const exact::Database& db,
                                      const OracleParams& params)
     : db_(db), params_(params) {}
 
-const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
-                                                           OracleTally* tally) {
-  const uint64_t key = f5.bits();
-  CacheStripe& stripe = stripe_for(key);
+const exact::MigChain* ReplacementOracle::class_chain(uint64_t representative,
+                                                      OracleTally* tally) {
+  CacheStripe& stripe = stripe_for(representative);
   // Synthesis runs under the stripe lock: concurrent queries for the same
-  // function would otherwise both pay the SAT solver, and the hit/synthesis
-  // counters would depend on thread interleaving.  Functions in other
+  // class would otherwise both pay the SAT solver, and the hit/synthesis
+  // counters would depend on thread interleaving.  Classes in other
   // stripes proceed unhindered.
   util::MutexLock lock(stripe.mutex);
-  const auto it = stripe.map.find(key);
+  const auto it = stripe.map.find(representative);
   bool retry = false;
   if (it != stripe.map.end()) {
     // A failure recorded under a smaller conflict budget is not an answer
@@ -69,10 +83,12 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
   exact::SynthesisOptions options;
   options.max_gates = params_.max_gates;
   options.conflict_limit = params_.synthesis_conflict_limit;
-  const auto result = exact::synthesize_minimum_mig(f5, options);
+  options.minimize_depth = true;
+  const auto result =
+      exact::synthesize_minimum_mig(tt::TruthTable(5, representative), options);
   bump(synthesized_, tally, &OracleTally::synthesized);
 
-  CacheEntry& entry = retry ? it->second : stripe.map[key];
+  CacheEntry& entry = retry ? it->second : stripe.map[representative];
   if (retry) {
     entry.conflicts += total_conflicts(result);  // retries accumulate effort
   } else {
@@ -94,6 +110,47 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
                      : params_.synthesis_conflict_limit;
   entry.chain.reset();
   return nullptr;
+}
+
+const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
+                                                           OracleTally* tally) {
+  const uint64_t bits = f5.bits();
+  MemberStripe& members = member_stripe_for(bits);
+  std::optional<npn::CanonResult> canon;
+  {
+    util::MutexLock lock(members.mutex);
+    if (const auto it = members.map.find(bits); it != members.map.end()) {
+      if (it->second.chain) {
+        bump(cache5_hits_, tally, &OracleTally::cache5_hits);
+        return &*it->second.chain;
+      }
+      // A memoized failure: its class may have gained a chain since (a
+      // load, a budget upgrade), so ask the class store again — without
+      // canonizing twice.
+      canon = npn::CanonResult{tt::TruthTable(5, it->second.representative),
+                               it->second.transform};
+    }
+  }
+  // Canonization and remapping are pure: both run outside any lock, and the
+  // two stripes are never held together.
+  if (!canon) canon = npn::canonize(f5);
+  const exact::MigChain* cls = class_chain(canon->representative.bits(), tally);
+  std::optional<exact::MigChain> member;
+  if (cls != nullptr) {
+    member = exact::apply_transform(*cls, npn::inverse(canon->transform));
+    if (member->simulate() != f5) {
+      throw std::logic_error("remapped class chain does not realize 0x" + f5.to_hex());
+    }
+  }
+  util::MutexLock lock(members.mutex);
+  auto& entry = members.map
+                    .try_emplace(bits, MemberEntry{canon->representative.bits(),
+                                                   canon->transform, std::nullopt})
+                    .first->second;
+  // A racing thread may have set the chain first; both remapped the same
+  // class chain through the same transform, so either copy is the answer.
+  if (member && !entry.chain) entry.chain = std::move(member);
+  return entry.chain ? &*entry.chain : nullptr;
 }
 
 std::optional<ReplacementOracle::Info> ReplacementOracle::query(const tt::TruthTable& f,
@@ -173,18 +230,21 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
   std::string magic, version;
   size_t count = 0;
   if (!(hs >> magic >> version >> count) || magic != kCacheMagic ||
-      version != kCacheVersion) {
+      (version != kCacheVersion && version != kCacheVersionV1)) {
     return malformed;
   }
+  const bool migrate = version == kCacheVersionV1;
 
   // Parse and validate the whole file before merging anything: a corrupted,
   // truncated or duplicate-carrying cache must be rejected without leaving a
   // partially merged in-memory state behind.  The header count is itself
   // unvalidated input, so the reserve is clamped — a garbage count must
   // produce `malformed`, not a length_error from a petabyte reserve.
-  std::vector<std::pair<uint64_t, CacheEntry>> parsed;
+  std::vector<std::pair<uint64_t, CacheEntry>> parsed;  // by class, first-seen order
   parsed.reserve(std::min<size_t>(count, 1u << 16));
+  std::unordered_map<uint64_t, size_t> class_index;
   std::unordered_map<uint64_t, bool> seen;
+  size_t lines = 0;
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
@@ -225,12 +285,30 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
       return malformed;
     }
     if (!seen.emplace(f.bits(), true).second) return malformed;  // duplicate line
-    entry.dirty = false;  // disk content is by definition persisted
-    parsed.emplace_back(f.bits(), std::move(entry));
+    ++lines;
+    const auto canon = npn::canonize(f);
+    if (migrate) {
+      // v1 keyed raw functions: file the line under its class, with the
+      // chain carried onto the representative.  Not yet on disk in v2.
+      if (entry.chain) entry.chain = exact::apply_transform(*entry.chain, canon.transform);
+      entry.dirty = true;
+    } else {
+      // v2 keys are representatives; anything else would make lookups of
+      // the class miss the line.
+      if (canon.representative != f) return malformed;
+      entry.dirty = false;  // disk content is by definition persisted
+    }
+    const uint64_t key = canon.representative.bits();
+    const auto [slot, fresh] = class_index.try_emplace(key, parsed.size());
+    if (fresh) {
+      parsed.emplace_back(key, std::move(entry));
+    } else if (supersedes(entry, parsed[slot->second].second)) {
+      parsed[slot->second].second = std::move(entry);
+    }
   }
-  if (parsed.size() != count) return malformed;
+  if (lines != count) return malformed;
 
-  CacheLoadResult result{CacheLoadStatus::loaded, parsed.size(), 0};
+  CacheLoadResult result{CacheLoadStatus::loaded, lines, 0};
   for (auto& [key, disk] : parsed) {
     CacheStripe& stripe = stripe_for(key);
     util::MutexLock lock(stripe.mutex);
@@ -240,17 +318,8 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
       ++result.adopted;
       continue;
     }
-    CacheEntry& mem = it->second;
-    // Union semantics: a success always beats a failure; between two
-    // successes the in-memory one is kept — both are proven minima of the
-    // same function, and replacing the chain would dangle the stable
-    // pointers five_input_chain hands out; between failures the one
-    // produced under the larger budget wins.
-    const bool adopt =
-        disk.chain ? !mem.chain
-                   : (!mem.chain && budget_rank(disk.budget) > budget_rank(mem.budget));
-    if (adopt) {
-      mem = std::move(disk);
+    if (supersedes(disk, it->second)) {
+      it->second = std::move(disk);
       ++result.adopted;
     }
   }
@@ -266,7 +335,8 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
   }
   {
     util::MutexLock lock(persist_mutex_);
-    if (!path.empty() && result.adopted == result.entries && total == result.entries) {
+    if (!path.empty() && !migrate && result.adopted == result.entries &&
+        total == result.entries) {
       persisted_path_ = path;
     } else if (result.adopted > 0) {
       persisted_path_.clear();
@@ -276,7 +346,7 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
 }
 
 size_t ReplacementOracle::save_cache(const std::string& path) {
-  // Snapshot under the stripe locks; entries sorted by truth table so the
+  // Snapshot under the stripe locks; entries sorted by representative so the
   // file contents are deterministic regardless of hashing or thread
   // interleaving.  The write itself is crash-safe (temp file + rename), so
   // a reader — or a crash — never sees a truncated cache.

@@ -11,6 +11,7 @@
 
 #include "exact/database.hpp"
 #include "mig/mig.hpp"
+#include "npn/npn.hpp"
 #include "tt/truth_table.hpp"
 #include "util/mutex.hpp"
 
@@ -21,31 +22,50 @@
 /// each input in it?" for functions of up to five variables:
 ///
 ///  * support <= 4: the precomputed NPN database (exact minima, instant);
-///  * support == 5: on-demand bounded exact synthesis with a per-function
-///    cache.  The paper notes that enumerating all NPN classes beyond four
+///  * support == 5: on-demand bounded exact synthesis, one per NPN class.
+///    The paper notes that enumerating all NPN classes beyond four
 ///    variables is impractical and that 5-input rewriting works on a
 ///    dynamically discovered subset (Sec. IV, ref. [9]); this oracle is that
-///    mechanism.  Synthesis is budgeted both in gate count (it only needs to
-///    beat the cut's cone) and in SAT conflicts; failures are cached as
-///    "no replacement" together with the budget that produced them, and are
+///    mechanism.  MIG size is NPN-invariant, so a query is canonized
+///    (npn::canonize) and only the class representative is synthesized —
+///    minimal in size first, then in depth among chains of that size.
+///    Synthesis is budgeted both in gate count (it only needs to beat the
+///    cut's cone) and in SAT conflicts; failures are cached as "no
+///    replacement" together with the budget that produced them, and are
 ///    re-attempted when queried under a strictly larger conflict budget.
 ///
-/// The 5-input cache persists to disk (save_cache / load_cache): a versioned
-/// text file alongside the NPN-4 database, one line per function — hex truth
-/// table, chain-or-failure record, the synthesis budget in force, and the
-/// conflicts spent.  Loading unions the file with the in-memory cache (a
-/// cached success always beats a cached failure; among failures the larger
-/// budget wins), so sessions warm-start across processes the same way a
-/// batch run warm-starts across networks.  Dirty-entry tracking lets
-/// save_cache skip the write when nothing changed since the last save/load.
+/// Two striped stores serve the 5-input path.  The *class store* maps each
+/// representative to its synthesis outcome.  The *member memo* maps each
+/// queried function to its representative, its canonizing transform and the
+/// class chain remapped onto the function (exact::apply_transform through
+/// npn::inverse, checked by simulation), so a repeated query neither
+/// canonizes nor touches the class store.  Failed members are memoized too
+/// (without a chain); they re-consult the class store, which a later load
+/// or budget upgrade may have turned into a success.  An answer therefore
+/// depends only on the function's NPN class and the transform canonize picks
+/// for it — never on which member was queried first.
+///
+/// The class store persists to disk (save_cache / load_cache): a versioned
+/// text file alongside the NPN-4 database, one line per class
+/// representative — hex truth table, chain-or-failure record, the synthesis
+/// budget in force, and the conflicts spent.  Version v2 keys lines by
+/// representative; a v1 file (keyed by raw function) is migrated on load:
+/// each line is canonized, its chain remapped to the representative, and
+/// lines of one class merge by the union rules below.  Loading unions the
+/// file with the in-memory store (a cached success always beats a cached
+/// failure; among failures the larger budget wins), so sessions warm-start
+/// across processes the same way a batch run warm-starts across networks.
+/// Dirty-entry tracking lets save_cache skip the write when nothing changed
+/// since the last save/load.
 ///
 /// The oracle is shared by every shard of a parallel pass, so query() and
-/// instantiate() are safe to call concurrently: the 5-input cache is striped
-/// (each stripe a mutex-guarded map, with synthesis performed under the
-/// stripe lock so a function is synthesized exactly once no matter how many
-/// shards race for it), and the accounting is atomic.  Because answers are a
-/// pure function of the queried truth table, cache behavior and every counter
-/// are identical whether one thread queries or eight do.
+/// instantiate() are safe to call concurrently: both stores are striped,
+/// canonization and remapping run outside any lock, no thread ever holds two
+/// stripes, and synthesis runs under the class stripe's lock so a class is
+/// synthesized exactly once no matter how many shards race for its members.
+/// The accounting is atomic, and because answers are a pure function of the
+/// queried truth table, cache behavior and every counter are identical
+/// whether one thread queries or eight do.
 
 namespace mighty::opt {
 
@@ -99,11 +119,11 @@ public:
 
   // --- persistence of the 5-input cache -------------------------------------
 
-  /// Aggregate view of the 5-input cache for reporting.
+  /// Aggregate view of the 5-input class store for reporting.
   struct CacheStats {
-    size_t entries = 0;    ///< cached functions (successes + failures)
-    size_t successes = 0;  ///< functions with a known replacement chain
-    size_t failures = 0;   ///< functions cached as "no replacement"
+    size_t entries = 0;    ///< cached classes (successes + failures)
+    size_t successes = 0;  ///< classes with a known replacement chain
+    size_t failures = 0;   ///< classes cached as "no replacement"
     size_t dirty = 0;      ///< entries not yet persisted by save_cache
   };
   CacheStats cache_stats() const;
@@ -115,27 +135,31 @@ public:
   };
   struct CacheLoadResult {
     CacheLoadStatus status = CacheLoadStatus::missing;
-    size_t entries = 0;  ///< entries parsed from the file
-    size_t adopted = 0;  ///< entries that changed or extended the in-memory cache
+    size_t entries = 0;  ///< lines parsed from the file
+    size_t adopted = 0;  ///< classes that changed or extended the in-memory store
   };
 
-  /// Merges the cache file at `path` into the in-memory 5-input cache.  The
+  /// Merges the cache file at `path` into the in-memory class store.  The
   /// file is validated wholesale before any merge (bad magic/version, a
-  /// malformed or duplicate line, a count mismatch, or a chain that does not
-  /// realize its function reject the file without touching the cache).
-  /// Merge semantics: unknown functions are adopted; a success on disk
-  /// replaces an in-memory failure (never the reverse); between two
-  /// failures the larger budget wins; between two successes the in-memory
-  /// chain is kept (both are proven minima, and replacing it would dangle
-  /// outstanding pointers).  Adopted entries are clean; surviving
-  /// in-memory entries keep their dirty bit.  Thread-safe.
+  /// malformed or duplicate line, a count mismatch, a chain that does not
+  /// realize its function, or — in v2 — a key that is not its own NPN
+  /// representative reject the file without touching the store).  v1 lines
+  /// are migrated to their classes first, merging lines of one class by the
+  /// rules below in file order.  Merge semantics: unknown classes are
+  /// adopted; a success on disk replaces an in-memory failure (never the
+  /// reverse); between two failures the larger budget wins; between two
+  /// successes the in-memory chain is kept (both are proven minima, and
+  /// replacing it would dangle outstanding pointers).  Entries adopted from
+  /// v2 are clean; entries migrated from v1 are dirty, so the next save
+  /// rewrites the file as v2; surviving in-memory entries keep their dirty
+  /// bit.  Thread-safe.
   CacheLoadResult load_cache(const std::string& path);
   /// Same validation and merge over an already-open stream (in-memory
   /// buffers, fuzz harnesses); a stream is never "missing", only malformed.
   CacheLoadResult load_cache(std::istream& is);
 
-  /// Persists the whole 5-input cache to `path` (crash-safe: temp file +
-  /// atomic rename; entries sorted by truth table so the file is
+  /// Persists the whole class store to `path` as v2 (crash-safe: temp
+  /// file + atomic rename; entries sorted by representative so the file is
   /// deterministic).  Skipped entirely — returning 0 — when no entry is
   /// dirty and `path` is known to hold exactly this cache already (the last
   /// successful save or whole-file load went there), so repeated autosaves
@@ -144,7 +168,8 @@ public:
   /// marks them clean.  Thread-safe.
   size_t save_cache(const std::string& path);
 
-  /// Number of on-demand syntheses performed / failed (for reporting).
+  /// Number of on-demand syntheses performed / failed (for reporting); one
+  /// per class, plus budget-upgrade retries.
   uint64_t synthesized_count() const {
     return synthesized_.load(std::memory_order_relaxed);
   }
@@ -171,13 +196,14 @@ private:
   /// stream has no on-disk identity for the clean-skip bookkeeping.
   CacheLoadResult load_cache_stream(std::istream& is, const std::string& path);
 
-  /// One cached 5-input synthesis outcome.  `budget` is the conflict limit
-  /// in force when the entry was produced: -1 means unlimited — for a
-  /// failure that encodes "proved absent within max_gates, never retry",
-  /// while a finite budget on a failure marks a timeout that a later query
-  /// under a larger budget re-attempts.  `conflicts` is the solver effort
-  /// spent producing the entry (summed over decision problems, accumulated
-  /// across retries).  `dirty` tracks divergence from the last save/load.
+  /// One class-store entry: the synthesis outcome of a representative.
+  /// `budget` is the conflict limit in force when the entry was produced:
+  /// -1 means unlimited — for a failure that encodes "proved absent within
+  /// max_gates, never retry", while a finite budget on a failure marks a
+  /// timeout that a later query under a larger budget re-attempts.
+  /// `conflicts` is the solver effort spent producing the entry (summed over
+  /// size and depth steps, accumulated across retries).  `dirty` tracks
+  /// divergence from the last save/load.
   struct CacheEntry {
     std::optional<exact::MigChain> chain;  ///< nullopt = no replacement
     int64_t budget = 0;
@@ -185,28 +211,55 @@ private:
     bool dirty = true;
   };
 
-  /// One lock-striped slice of the 5-input cache.  16 stripes keep cross-
-  /// shard contention negligible while a per-stripe lock makes "look up or
-  /// synthesize" a single atomic step.
+  /// One lock-striped slice of the class store.  A per-stripe lock makes
+  /// "look up or synthesize" a single atomic step.
   struct CacheStripe {
     mutable util::Mutex mutex{util::LockRank::oracle_stripe};  ///< cache_stats() locks from const
     std::unordered_map<uint64_t, CacheEntry> map MIGHTY_GUARDED_BY(mutex);
   };
   static constexpr size_t kCacheStripes = 16;
 
+  /// One member-memo entry: a queried function's class and its chain.
+  struct MemberEntry {
+    uint64_t representative = 0;
+    npn::Transform transform;  ///< apply(member, transform) == representative
+    /// The class chain remapped onto the member; nullopt while the class
+    /// has none.  Set once, never replaced.
+    std::optional<exact::MigChain> chain;
+  };
+  /// Member-memo slice; hit on every 5-input query, so striped as finely
+  /// as the database's lookup memo.
+  struct MemberStripe {
+    util::Mutex mutex{util::LockRank::oracle_member_stripe};
+    std::unordered_map<uint64_t, MemberEntry> map MIGHTY_GUARDED_BY(mutex);
+  };
+  static constexpr size_t kMemberStripes = 64;
+
+  /// Merge rule shared by load_cache and v1 migration: whether `incoming`
+  /// replaces `held` for the same class.
+  static bool supersedes(const CacheEntry& incoming, const CacheEntry& held);
+
   CacheStripe& stripe_for(uint64_t key) {
     return cache5_[(key * 0x9e3779b97f4a7c15ull) >> 60 & (kCacheStripes - 1)];
   }
+  MemberStripe& member_stripe_for(uint64_t bits) {
+    return members_[(bits * 0x9e3779b97f4a7c15ull) >> 58 & (kMemberStripes - 1)];
+  }
 
-  /// Chains are created once and only ever replaced by a success overwriting
-  /// a failure (never erased), and unordered_map never moves its elements,
-  /// so the returned pointer stays valid after the stripe lock is released.
+  /// The chain for a 5-input function, from the member memo or its class.
+  /// Chains are created once and never replaced or erased, and
+  /// unordered_map never moves its elements, so the returned pointer stays
+  /// valid after the stripe lock is released.
   const exact::MigChain* five_input_chain(const tt::TruthTable& f5,
                                           OracleTally* tally);
+  /// The class store's chain for a representative, synthesized under its
+  /// stripe lock on a miss (or a retry under a larger budget).
+  const exact::MigChain* class_chain(uint64_t representative, OracleTally* tally);
 
   const exact::Database& db_;
   OracleParams params_;
   std::array<CacheStripe, kCacheStripes> cache5_;
+  std::array<MemberStripe, kMemberStripes> members_;
   /// Path whose on-disk contents are known to equal the in-memory cache —
   /// set by a successful save, or by a load that filled an empty cache
   /// wholesale; cleared when a load changes memory without that guarantee.

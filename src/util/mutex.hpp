@@ -58,7 +58,8 @@ enum class LockRank : uint8_t {
   api_service_session,       ///< api::LocalService session read/write gate
   flow_session_persist,      ///< flow::Session::persist() choke point
   oracle_persist,            ///< opt::ReplacementOracle persisted-path state
-  oracle_stripe,             ///< opt::ReplacementOracle 5-cut cache stripes
+  oracle_stripe,             ///< opt::ReplacementOracle 5-cut class-store stripes
+  oracle_member_stripe,      ///< opt::ReplacementOracle 5-cut member-memo stripes
   db_lookup_stripe,          ///< exact::Database lookup-memo stripes
   pool_queue,                ///< util::ThreadPool queue + group states
   pool_for_job,              ///< util::ThreadPool per-parallel_for job state

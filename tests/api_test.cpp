@@ -334,25 +334,28 @@ TEST(ApiTest, CacheCommandsWithoutPathAreInvalidRequests) {
 // funneling into one idempotent save — is exercised with a real database in
 // serve_test.cpp.)
 TEST(ApiTest, OracleSaveIsIdempotentOnCleanCache) {
-  const exact::Database empty_db;
-  opt::OracleParams params;
-  params.enable_five_input = true;
-  opt::ReplacementOracle oracle(empty_db, params);
+  // One (failure) entry from a stream, as a v1 line (migrated onto its class
+  // 0006215a) and as the equivalent v2 line: either way it has never been
+  // written to *this* target file.
+  for (const char* text : {"mighty-mig-5cut-cache v1 1\ndeadbeef fail 300 42\n",
+                           "mighty-mig-5cut-cache v2 1\n0006215a fail 300 42\n"}) {
+    const exact::Database empty_db;
+    opt::OracleParams params;
+    params.enable_five_input = true;
+    opt::ReplacementOracle oracle(empty_db, params);
+    std::istringstream cache(text);
+    const auto loaded = oracle.load_cache(cache);
+    ASSERT_EQ(loaded.status, opt::ReplacementOracle::CacheLoadStatus::loaded) << text;
+    ASSERT_EQ(loaded.entries, 1u);
 
-  // Adopt one (failure) entry from a stream: content is clean, but it has
-  // never been written to *this* target file.
-  std::istringstream cache("mighty-mig-5cut-cache v1 1\ndeadbeef fail 300 42\n");
-  const auto loaded = oracle.load_cache(cache);
-  ASSERT_EQ(loaded.status, opt::ReplacementOracle::CacheLoadStatus::loaded);
-  ASSERT_EQ(loaded.entries, 1u);
-
-  const std::string path =
-      ::testing::TempDir() + "api_persist_" + std::to_string(::getpid()) + ".db";
-  // First save targets a file with unknown contents: must write.
-  EXPECT_EQ(oracle.save_cache(path), 1u);
-  // Second save: nothing dirty, same file — the guard makes it a no-op.
-  EXPECT_EQ(oracle.save_cache(path), 0u);
-  std::remove(path.c_str());
+    const std::string path =
+        ::testing::TempDir() + "api_persist_" + std::to_string(::getpid()) + ".db";
+    // First save targets a file with unknown contents: must write.
+    EXPECT_EQ(oracle.save_cache(path), 1u) << text;
+    // Second save: nothing dirty, same file — the guard makes it a no-op.
+    EXPECT_EQ(oracle.save_cache(path), 0u) << text;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ApiTest, ErrorCodeNamesAreStable) {

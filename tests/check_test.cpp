@@ -368,6 +368,26 @@ TEST_F(CacheLintTest, CleanFilePasses) {
   EXPECT_TRUE(report.diagnostics.empty()) << report.summary();
 }
 
+TEST_F(CacheLintTest, CleanV2FilePasses) {
+  const auto report = lint(
+      "mighty-mig-5cut-cache v2 3\n"
+      "0000ffff ok -1 0 5 0 11\n"
+      "0006215a fail 20000 42\n"
+      "000f0fff ok 20000 137 5 1 13 6 8 10\n");
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_TRUE(report.diagnostics.empty()) << report.summary();
+}
+
+TEST_F(CacheLintTest, V2KeysMustBeRepresentatives) {
+  // Valid as a v1 line (see CleanFilePasses); in v2, x0 is filed under its
+  // class representative 0000ffff instead.
+  const auto report = lint(
+      "mighty-mig-5cut-cache v2 1\n"
+      "aaaaaaaa ok -1 0 5 0 2\n");
+  ASSERT_TRUE(report.has(Code::artifact_not_canonical)) << report.summary();
+  EXPECT_EQ(report.find(Code::artifact_not_canonical)->node, 2u);
+}
+
 TEST_F(CacheLintTest, BadHeader) {
   const auto report = lint("not-a-cache v1 0\n");
   ASSERT_TRUE(report.has(Code::artifact_header)) << report.summary();

@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "exact/encoding_onehot.hpp"
 #include "mig/simulation.hpp"
 #include "npn/npn.hpp"
 
@@ -163,6 +164,49 @@ TEST(ExactSynthesisTest, TimeoutIsReported) {
   options.conflict_limit = 1;
   const auto r = synthesize_minimum_mig(parity, options);
   EXPECT_EQ(r.status, SynthesisStatus::timeout);
+}
+
+// minimize_depth: the size search is untouched (same per-step conflicts,
+// same size), depth never grows, and the final depth is proven minimal for
+// its size — the depth step one level shallower comes back UNSAT on the
+// same encoding.
+TEST(ExactSynthesisTest, DepthMinimizationKeepsSizeAndIsProvenMinimal) {
+  const auto x = [](uint32_t v) { return TruthTable::projection(5, v); };
+  const std::vector<TruthTable> functions = {
+      (x(0) & x(1)) | (x(2) & x(3) & x(4)),
+      TruthTable::maj(x(0), x(1), TruthTable::maj(x(2), x(3), x(4))),
+      TruthTable::ite(x(4), x(0) & x(1), x(2) | x(3)),
+      (x(0) ^ x(1)) & (x(2) | x(3)) & x(4),
+      x(0) & x(1) & x(2) & x(3) & x(4),
+  };
+  uint32_t proven = 0;
+  for (const auto& function : functions) {
+    const auto f = npn::canonize(function).representative;
+    SynthesisOptions options;
+    options.max_gates = 9;
+    const auto plain = synthesize_minimum_mig(f, options);
+    options.minimize_depth = true;
+    const auto shallow = synthesize_minimum_mig(f, options);
+    ASSERT_EQ(plain.status, SynthesisStatus::success) << "f=0x" << f.to_hex();
+    ASSERT_EQ(shallow.status, SynthesisStatus::success) << "f=0x" << f.to_hex();
+    EXPECT_TRUE(plain.conflicts_per_depth_step.empty());
+    EXPECT_EQ(shallow.conflicts_per_step, plain.conflicts_per_step);
+    EXPECT_EQ(shallow.chain.size(), plain.chain.size());
+    EXPECT_LE(shallow.chain.depth(), plain.chain.depth());
+    EXPECT_EQ(shallow.chain.simulate(), f);
+
+    const uint32_t depth = shallow.chain.depth();
+    if (depth < 3) continue;
+    sat::Solver solver;
+    OnehotEncoder encoder(solver, f, shallow.chain.size());
+    encoder.encode();
+    encoder.encode_depth_levels();
+    EXPECT_EQ(solver.solve({sat::negate(encoder.root_deeper_than(depth - 1))}),
+              sat::Result::unsat)
+        << "f=0x" << f.to_hex() << " has a chain shallower than " << depth;
+    ++proven;
+  }
+  EXPECT_GT(proven, 0u);
 }
 
 TEST(DepthSynthesisTest, SimpleDepths) {

@@ -5,15 +5,19 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 #include <vector>
 
 #include "cec/cec.hpp"
+#include "check/check.hpp"
 #include "gen/arith.hpp"
+#include "io/io.hpp"
 #include "mig/algebra/algebra.hpp"
 #include "mig/simulation.hpp"
 #include "opt/rewrite.hpp"
 #include "test_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mighty::opt {
 namespace {
@@ -268,6 +272,13 @@ TEST(OracleCacheTest, CorruptedFilesRejectedWithoutMerging) {
                   "mighty-mig-5cut-cache v1 2\n" + entry_line + entry_line);
   expect_rejected("garbage_line.db",
                   "mighty-mig-5cut-cache v1 1\nzzzz nope 1 2\n");
+  // The same defects under the class-keyed v2 header (the saved body and
+  // its line are v2 already).
+  expect_rejected("count_mismatch_v2.db", "mighty-mig-5cut-cache v2 2\n" + entry_line);
+  expect_rejected("duplicate_v2.db",
+                  "mighty-mig-5cut-cache v2 2\n" + entry_line + entry_line);
+  expect_rejected("garbage_line_v2.db",
+                  "mighty-mig-5cut-cache v2 1\nzzzz nope 1 2\n");
   // A chain filed under the wrong function must fail the simulation check:
   // swap the truth-table hex of the valid entry for a different function.
   const auto other = maj5_table() ^ tt::TruthTable::projection(5, 0);
@@ -404,6 +415,191 @@ TEST(OracleCacheTest, SaveIsAtomicAndSkipsCleanCaches) {
     ++files;
   }
   EXPECT_EQ(files, 1u) << "temp files left behind";
+}
+
+// --- NPN5 class keying -----------------------------------------------------------
+
+/// Members of the structured classes: each function under a few seeded NPN
+/// transforms (symmetric functions may repeat a member; that is fine).
+std::vector<tt::TruthTable> class_members() {
+  std::mt19937 rng(14);
+  const auto perms = npn::all_permutations(5);
+  std::vector<tt::TruthTable> members;
+  for (const auto& f : structured_five_input_functions()) {
+    members.push_back(f);
+    for (int i = 0; i < 4; ++i) {
+      npn::Transform t;
+      t.num_vars = 5;
+      t.perm = perms[rng() % perms.size()];
+      t.input_negations = static_cast<uint8_t>(rng() & 0x1f);
+      t.output_negation = (rng() & 1) != 0;
+      members.push_back(npn::apply(f, t));
+    }
+  }
+  return members;
+}
+
+size_t distinct_classes(const std::vector<tt::TruthTable>& functions) {
+  std::set<uint64_t> classes;
+  for (const auto& f : functions) classes.insert(npn::canonize(f).representative.bits());
+  return classes.size();
+}
+
+/// What the oracle answers for a member, down to the instantiated structure.
+struct MemberAnswer {
+  ReplacementOracle::Info info;
+  std::string blif;
+};
+
+MemberAnswer answer(ReplacementOracle& oracle, const tt::TruthTable& f) {
+  const auto info = oracle.query(f);
+  if (!info) throw std::runtime_error("no answer for 0x" + f.to_hex());
+  mig::Mig m;
+  const auto pis = m.create_pis(5);
+  m.create_po(oracle.instantiate(f, m, pis));
+  if (mig::output_truth_tables(m)[0] != f) throw std::runtime_error("wrong function");
+  std::ostringstream os;
+  io::write_blif(os, m);
+  return {*info, os.str()};
+}
+
+void expect_same_answers(const std::vector<MemberAnswer>& a, const std::vector<MemberAnswer>& b,
+                         const std::vector<tt::TruthTable>& members) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].info.size, b[i].info.size) << "f=0x" << members[i].to_hex();
+    EXPECT_EQ(a[i].info.depth, b[i].info.depth) << "f=0x" << members[i].to_hex();
+    EXPECT_EQ(a[i].info.input_depths, b[i].info.input_depths) << "f=0x" << members[i].to_hex();
+    EXPECT_EQ(a[i].blif, b[i].blif) << "f=0x" << members[i].to_hex();
+  }
+}
+
+// An answer depends only on the function: members of one class get the same
+// Info and the same instantiated structure whichever member is queried
+// first, and whether one thread queries or four do.  Only the class
+// representatives are synthesized.
+TEST(OracleClassTest, AnswersDoNotDependOnQueryOrderOrThreads) {
+  OracleParams params;
+  params.enable_five_input = true;
+  const auto members = class_members();
+  const size_t classes = distinct_classes(members);
+  ASSERT_EQ(classes, structured_five_input_functions().size());
+
+  ReplacementOracle forward(db(), params);
+  std::vector<MemberAnswer> in_order;
+  for (const auto& f : members) in_order.push_back(answer(forward, f));
+  EXPECT_EQ(forward.synthesized_count(), classes);
+  EXPECT_EQ(forward.cache_stats().entries, classes);
+
+  ReplacementOracle backward(db(), params);
+  std::vector<MemberAnswer> reversed(members.size());
+  for (size_t i = members.size(); i-- > 0;) reversed[i] = answer(backward, members[i]);
+  EXPECT_EQ(backward.synthesized_count(), classes);
+  expect_same_answers(in_order, reversed, members);
+
+  ReplacementOracle shared(db(), params);
+  std::vector<MemberAnswer> threaded(members.size());
+  util::ThreadPool pool(4);
+  pool.parallel_for(members.size(),
+                    [&](size_t i) { threaded[i] = answer(shared, members[i]); });
+  EXPECT_EQ(shared.synthesized_count(), classes);
+  EXPECT_EQ(shared.cache5_hits(), forward.cache5_hits());
+  expect_same_answers(in_order, threaded, members);
+}
+
+// The v1 fixture shared with the fuzz seeds: 0000ffff and aaaaaaaa are both
+// projections, so one class; the success beats the failure.  Migrated
+// entries are dirty, and the next save writes them back as v2 lines keyed by
+// representatives, which a fresh oracle adopts line for line.
+TEST(OracleCacheTest, V1CacheMigratesOntoClasses) {
+  ScratchDir scratch("mighty_oracle_v1");
+  OracleParams params;
+  params.enable_five_input = true;
+  ReplacementOracle oracle(db(), params);
+  std::istringstream v1(
+      "mighty-mig-5cut-cache v1 3\n"
+      "0000ffff fail 20000 17\n"
+      "aaaaaaaa ok -1 0 5 0 2\n"
+      "e8e8e8e8 ok 20000 137 5 1 12 2 4 6\n");
+  const auto loaded = oracle.load_cache(v1);
+  ASSERT_EQ(loaded.status, ReplacementOracle::CacheLoadStatus::loaded);
+  EXPECT_EQ(loaded.entries, 3u);
+  EXPECT_EQ(loaded.adopted, 2u);
+  const auto stats = oracle.cache_stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.successes, 2u);
+  EXPECT_EQ(stats.dirty, 2u);
+
+  const auto path = (scratch.dir / "c5.db").string();
+  ASSERT_EQ(oracle.save_cache(path), 2u);
+  std::ifstream is(path);
+  std::stringstream written;
+  written << is.rdbuf();
+  EXPECT_EQ(written.str(),
+            "mighty-mig-5cut-cache v2 2\n"
+            "0000ffff ok -1 0 5 0 11\n"
+            "000f0fff ok 20000 137 5 1 13 6 8 10\n");
+  EXPECT_TRUE(check::lint_cache_file(path).diagnostics.empty());
+
+  ReplacementOracle fresh(db(), params);
+  const auto reloaded = fresh.load_cache(path);
+  ASSERT_EQ(reloaded.status, ReplacementOracle::CacheLoadStatus::loaded);
+  EXPECT_EQ(reloaded.adopted, 2u);
+  EXPECT_EQ(fresh.cache_stats().dirty, 0u);
+}
+
+// A v1 line carries one member's chain; after migration it serves every
+// member of the class without synthesis.
+TEST(OracleCacheTest, V1ChainServesItsWholeClass) {
+  const auto members = class_members();
+  const auto& f = members[6];  // a transformed and-or member
+  exact::SynthesisOptions options;
+  options.max_gates = 9;
+  const auto synthesized = exact::synthesize_minimum_mig(f, options);
+  ASSERT_EQ(synthesized.status, exact::SynthesisStatus::success);
+
+  OracleParams params;
+  params.enable_five_input = true;
+  ReplacementOracle oracle(db(), params);
+  std::istringstream v1("mighty-mig-5cut-cache v1 1\n" + f.to_hex() + " ok 20000 0 " +
+                        synthesized.chain.to_string() + "\n");
+  ASSERT_EQ(oracle.load_cache(v1).status, ReplacementOracle::CacheLoadStatus::loaded);
+  for (size_t i = 5; i < 10; ++i) {  // the and-or class
+    const auto got = answer(oracle, members[i]);
+    EXPECT_EQ(got.info.size, synthesized.chain.size());
+  }
+  EXPECT_EQ(oracle.synthesized_count(), 0u);
+}
+
+TEST(OracleCacheTest, V2RequiresRepresentativeKeys) {
+  OracleParams params;
+  params.enable_five_input = true;
+  const auto load = [&](const std::string& text, size_t expected_entries) {
+    ReplacementOracle oracle(db(), params);
+    std::istringstream is(text);
+    const auto result = oracle.load_cache(is);
+    EXPECT_EQ(oracle.cache_stats().entries, expected_entries) << text;
+    return result;
+  };
+  // The checked-in v2 fuzz seed: every line is adopted.
+  const auto ok = load(
+      "mighty-mig-5cut-cache v2 3\n"
+      "0000ffff ok -1 0 5 0 11\n"
+      "0006215a fail 20000 42\n"
+      "000f0fff ok 20000 137 5 1 13 6 8 10\n",
+      3);
+  EXPECT_EQ(ok.status, ReplacementOracle::CacheLoadStatus::loaded);
+  EXPECT_EQ(ok.adopted, 3u);
+  // x0 realizes its chain but is not its class's representative (0000ffff):
+  // the whole file is rejected, valid lines included.
+  EXPECT_EQ(load("mighty-mig-5cut-cache v2 2\n"
+                 "0000ffff ok -1 0 5 0 11\n"
+                 "aaaaaaaa ok -1 0 5 0 2\n",
+                 0)
+                .status,
+            ReplacementOracle::CacheLoadStatus::malformed);
+  EXPECT_EQ(load("mighty-mig-5cut-cache v2 1\ndeadbeef fail 300 42\n", 0).status,
+            ReplacementOracle::CacheLoadStatus::malformed);
 }
 
 TEST(OracleTest, FiveInputRewritingPreservesFunction) {

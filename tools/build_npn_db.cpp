@@ -5,17 +5,18 @@
 //   $ MIGHTY_DB_PATH=build/data/mig_npn4.db ./build/build_npn_db
 //
 // With --cache <path> it additionally validates a persistent 5-input oracle
-// cache file (the `mighty-mig-5cut-cache v1` format): loads it through the
-// same wholesale validation every session uses and prints its stats.  A
-// missing file is fine (it appears on first save); a malformed one fails the
-// run — useful for checking a CI-restored cache before benches rely on it.
+// cache file (the class-keyed `mighty-mig-5cut-cache v2` format, or a v1
+// file, which loading migrates): loads it through the same wholesale
+// validation every session uses and prints its stats.  A missing file is
+// fine (it appears on first save); a malformed one fails the run — useful
+// for checking a CI-restored cache before benches rely on it.
 //
 // With --lint the deep artifact linters (check/check.hpp) run on top: the
 // database entries are re-checked for canonical-form keys, realizing chains
 // and the Theorem-2 size bound, and a --cache file gets per-line diagnostics
-// (canonical chain serialization, budget monotonicity, sorted keys) instead
-// of the loader's wholesale accept/reject.  Lint warnings are printed but
-// only errors fail the run.
+// (canonical chain serialization, v2 representative keys, budget
+// monotonicity, sorted keys) instead of the loader's wholesale
+// accept/reject.  Lint warnings are printed but only errors fail the run.
 
 #include <cstdio>
 #include <cstring>
