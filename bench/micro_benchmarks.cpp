@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the kernels the optimizer spends
 // its time in: structural hashing, cut enumeration, cut-function simulation,
-// exact NPN canonization, database lookup and word-parallel simulation.
+// exact NPN canonization, database lookup, word-parallel simulation and the
+// BLIF reader and writer a service job runs on its input and output.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <sstream>
 
 #include "exact/database.hpp"
 #include "gen/arith.hpp"
+#include "io/io.hpp"
+#include "mig/algebra/algebra.hpp"
 #include "mig/cuts.hpp"
 #include "mig/simulation.hpp"
 #include "npn/npn.hpp"
@@ -18,6 +22,13 @@ namespace {
 
 const mig::Mig& multiplier16() {
   static const mig::Mig m = gen::make_multiplier_n(16);
+  return m;
+}
+
+/// The corpus's log2_4 (depth-optimized log2 at width 4): its BLIF is the
+/// largest of a service job set (~528 KB).
+const mig::Mig& log2_4() {
+  static const mig::Mig m = algebra::depth_optimize(gen::make_log2_n(4));
   return m;
 }
 
@@ -108,6 +119,29 @@ void BM_ExactSynthesisXor4(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactSynthesisXor4);
+
+void BM_ReadBlif(benchmark::State& state) {
+  std::ostringstream os;
+  io::write_blif(os, log2_4());
+  const std::string text = os.str();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(io::read_blif(text));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadBlif)->Unit(benchmark::kMillisecond);
+
+void BM_WriteBlif(benchmark::State& state) {
+  const auto& m = log2_4();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os;
+    io::write_blif(os, m);
+    bytes += os.str().size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_WriteBlif)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

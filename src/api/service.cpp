@@ -199,8 +199,10 @@ struct LocalService::Impl {
     }
     JobResult res;
     try {
-      std::istringstream blif(job.request.network_blif);
-      const mig::Mig input = io::read_blif(blif);
+      const mig::Mig input = io::read_blif(job.request.network_blif);
+      // Nothing reads the input text again: the job table keeps a finished
+      // job's result, not its input.
+      std::string().swap(job.request.network_blif);
       if (job.pipeline.uses_oracle() && session_.oracle_if_created() == nullptr) {
         // Lazy oracle/database init is single-threaded by design; take the
         // session exclusively for the first materialization.

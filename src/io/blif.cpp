@@ -1,8 +1,10 @@
+#include <array>
+#include <charconv>
+#include <cstring>
 #include <fstream>
-#include <map>
-#include <set>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 #include "api/error.hpp"
 #include "io/io.hpp"
@@ -13,18 +15,21 @@ namespace mighty::io {
 
 namespace {
 
-std::string node_name(const mig::Mig& mig, uint32_t index) {
-  // Prefix via insert on an lvalue, not operator+(const char*, string&&):
-  // the rvalue overload trips a GCC 12 -Wrestrict false positive here.
-  if (mig.is_constant(index)) return "const0";
-  std::string name = std::to_string(mig.is_pi(index) ? mig.pi_index(index) : index);
-  name.insert(0, 1, mig.is_pi(index) ? 'x' : 'n');
-  return name;
+/// Writes the BLIF name of node `index` (const0, x<input> or n<node>) at
+/// `out` and returns its end: at most 11 bytes.
+char* put_name(char* out, const mig::Mig& mig, uint32_t index) {
+  if (mig.is_constant(index)) {
+    std::memcpy(out, "const0", 6);
+    return out + 6;
+  }
+  const bool pi = mig.is_pi(index);
+  *out++ = pi ? 'x' : 'n';
+  return std::to_chars(out, out + 10, pi ? mig.pi_index(index) : index).ptr;
 }
 
 /// Builds an arbitrary function of up to 6 leaves by Shannon decomposition.
 mig::Signal build_function(mig::Mig& m, const tt::TruthTable& f,
-                           const std::vector<mig::Signal>& leaves) {
+                           const mig::Signal* leaves) {
   if (f.is_const0()) return m.get_constant(false);
   if (f.is_const1()) return m.get_constant(true);
   for (uint32_t v = 0; v < f.num_vars(); ++v) {
@@ -81,25 +86,43 @@ void write_blif(std::ostream& os, const mig::Mig& mig, const std::string& model_
   }
   if (const_used) os << ".names const0\n";  // empty cover = constant 0
 
+  // Each table is formatted into one buffer and written at once: no name
+  // becomes a string of its own.
+  char buffer[96];
   for (uint32_t n = 0; n < mig.num_nodes(); ++n) {
     if (!live[n] || !mig.is_gate(n)) continue;
     const auto& f = mig.fanins(n);
-    os << ".names " << node_name(mig, f[0].index()) << ' ' << node_name(mig, f[1].index())
-       << ' ' << node_name(mig, f[2].index()) << ' ' << node_name(mig, n) << '\n';
+    char* p = buffer;
+    std::memcpy(p, ".names ", 7);
+    p += 7;
+    for (const mig::Signal s : f) {
+      p = put_name(p, mig, s.index());
+      *p++ = ' ';
+    }
+    p = put_name(p, mig, n);
+    *p++ = '\n';
     // Majority ON-set {11-, 1-1, -11}, with complemented fanins flipping the
     // corresponding care literal.
     const char one[3] = {f[0].is_complemented() ? '0' : '1',
                          f[1].is_complemented() ? '0' : '1',
                          f[2].is_complemented() ? '0' : '1'};
-    os << one[0] << one[1] << "- 1\n";
-    os << one[0] << '-' << one[2] << " 1\n";
-    os << '-' << one[1] << one[2] << " 1\n";
+    const char rows[18] = {one[0], one[1], '-',    ' ', '1', '\n',
+                           one[0], '-',    one[2], ' ', '1', '\n',
+                           '-',    one[1], one[2], ' ', '1', '\n'};
+    std::memcpy(p, rows, sizeof(rows));
+    p += sizeof(rows);
+    os.write(buffer, p - buffer);
   }
 
   for (uint32_t o = 0; o < mig.num_pos(); ++o) {
     const mig::Signal s = mig.output(o);
-    os << ".names " << node_name(mig, s.index()) << " y" << o << '\n';
-    os << (s.is_complemented() ? "0 1\n" : "1 1\n");
+    char* p = buffer;
+    std::memcpy(p, ".names ", 7);
+    p = put_name(p + 7, mig, s.index());
+    std::memcpy(p, " y", 2);
+    p = std::to_chars(p + 2, p + 12, o).ptr;
+    std::memcpy(p, s.is_complemented() ? "\n0 1\n" : "\n1 1\n", 5);
+    os.write(buffer, p + 5 - buffer);
   }
   os << ".end\n";
 }
@@ -118,165 +141,233 @@ void write_blif_file(const std::string& path, const mig::Mig& mig,
   }
 }
 
-mig::Mig read_blif(std::istream& is) {
-  struct Table {
-    std::vector<std::string> inputs;
-    std::string output;
-    std::vector<std::string> rows;
-    size_t line = 0;  ///< physical line of the .names directive (for errors)
-  };
-  std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
-  size_t outputs_line = 0;
-  std::vector<Table> tables;
+namespace {
 
-  auto error_at = [](size_t line, const std::string& what) {
-    // Still a std::runtime_error for pre-taxonomy catch sites, now carrying
-    // the stable code the api layer and wire protocol report.
-    return api::Error(api::ErrorCode::invalid_network,
-                      "BLIF line " + std::to_string(line) + ": " + what);
-  };
+/// The bytes `operator>>` on a std::string splits at in the classic locale.
+constexpr bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
 
-  // Tokenize into logical lines: strip '\r' (CRLF exports), cut '#' comments,
-  // and join backslash continuations (tolerating whitespace after the
-  // backslash, which common exporters emit).  Each logical line remembers the
-  // physical line it started on, so parse errors point into the file.
-  struct LogicalLine {
-    std::string text;
-    size_t line;
-  };
-  std::string line, pending;
-  size_t line_number = 0, pending_line = 0;
-  std::vector<LogicalLine> logical_lines;
-  while (std::getline(is, line)) {
-    ++line_number;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    if (pending.empty()) pending_line = line_number;
-    const auto last = line.find_last_not_of(" \t");
-    if (last != std::string::npos && line[last] == '\\') {
-      pending += line.substr(0, last);
-      pending += ' ';  // the continuation joins tokens, it must not fuse them
-      continue;
-    }
-    pending += line;
-    if (pending.find_first_not_of(" \t") != std::string::npos) {
-      logical_lines.push_back({std::move(pending), pending_line});
-    }
-    pending.clear();
-  }
-  if (!pending.empty()) {
-    throw error_at(pending_line, "backslash continuation at end of file");
+/// Pops the next blank-separated token off the front of `rest`; empty when
+/// none is left.
+std::string_view next_token(std::string_view& rest) {
+  size_t begin = 0;
+  while (begin < rest.size() && is_blank(rest[begin])) ++begin;
+  size_t end = begin;
+  while (end < rest.size() && !is_blank(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
+api::Error error_at(size_t line, const std::string& what) {
+  // Still a std::runtime_error for pre-taxonomy catch sites, now carrying
+  // the stable code the api layer and wire protocol report.
+  return api::Error(api::ErrorCode::invalid_network,
+                    "BLIF line " + std::to_string(line) + ": " + what);
+}
+
+constexpr uint32_t kNone = ~uint32_t{0};
+/// Projections x0..x3 over four variables, the cube literals of a cover row.
+constexpr uint16_t kProjection[4] = {0xaaaa, 0xcccc, 0xf0f0, 0xff00};
+
+/// One pass over the text: names map to dense ids through views into it,
+/// tables of up to four inputs fold into their truth table row by row, and
+/// no line or token is copied (a backslash continuation excepted, which
+/// joins its lines into one side buffer).
+class BlifReader {
+public:
+  explicit BlifReader(std::string_view text) : text_(text) {
+    // A written gate takes ~40 bytes (.names line plus three rows): sized
+    // so the name map of a written network never rehashes.
+    ids_.reserve(text.size() / 32);
   }
 
-  Table* current = nullptr;
-  for (const auto& logical : logical_lines) {
-    std::istringstream ls(logical.text);
-    std::string head;
-    if (!(ls >> head)) continue;
-    if (head == ".model" || head == ".end") {
-      current = nullptr;
-      continue;
-    }
-    if (head == ".inputs") {
-      std::string name;
-      while (ls >> name) input_names.push_back(name);
-      current = nullptr;
-      continue;
-    }
-    if (head == ".outputs") {
-      std::string name;
-      while (ls >> name) output_names.push_back(name);
-      outputs_line = logical.line;
-      current = nullptr;
-      continue;
-    }
-    if (head == ".names") {
-      Table t;
-      t.line = logical.line;
-      std::string name;
-      std::vector<std::string> names;
-      while (ls >> name) names.push_back(name);
-      if (names.empty()) throw error_at(logical.line, ".names without signals");
-      t.output = names.back();
-      names.pop_back();
-      t.inputs = std::move(names);
-      tables.push_back(std::move(t));
-      current = &tables.back();
-      continue;
-    }
-    if (head[0] == '.') {
-      throw error_at(logical.line, "unsupported BLIF construct: " + head);
-    }
-    if (current == nullptr) {
-      throw error_at(logical.line, "cover row outside .names");
-    }
-    // Keep every token: extra columns must surface as a parse error below,
-    // not be silently dropped.
-    std::string rest;
-    std::string row = head;
-    while (ls >> rest) row += " " + rest;
-    current->rows.push_back(row);
-  }
-
-  mig::Mig m;
-  std::map<std::string, mig::Signal> signals;
-  for (const auto& name : input_names) signals[name] = m.create_pi();
-
-  std::map<std::string, const Table*> by_output;
-  for (const auto& t : tables) by_output[t.output] = &t;
-
-  // Builds one table's function over already-resolved leaves.
-  auto build_table = [&](const Table& t,
-                         const std::vector<mig::Signal>& leaves) -> mig::Signal {
-    const std::string& name = t.output;
-    const auto k = static_cast<uint32_t>(t.inputs.size());
-    tt::TruthTable on_set(k);
-    bool output_one = true;
-    for (const auto& row : t.rows) {
-      std::istringstream rs(row);
-      std::string pattern, value, extra;
-      if (k == 0) {
-        rs >> value;
-        pattern.clear();
-      } else if (!(rs >> pattern >> value)) {
-        throw error_at(t.line, "malformed cover row in table '" + name +
-                                   "': " + row);
-      }
-      if (rs >> extra) {
-        throw error_at(t.line, "trailing tokens in cover row of table '" + name +
-                                   "': " + row);
-      }
-      if (pattern.size() != k) {
-        throw error_at(t.line, "cover row width mismatch in table '" + name +
-                                   "': " + row);
-      }
-      output_one = value == "1";
-      // Expand don't-cares.
-      std::vector<uint32_t> minterms{0};
-      for (uint32_t i = 0; i < k; ++i) {
-        std::vector<uint32_t> next;
-        for (const uint32_t base : minterms) {
-          if (pattern[i] == '0') {
-            next.push_back(base);
-          } else if (pattern[i] == '1') {
-            next.push_back(base | (1u << i));
-          } else {
-            next.push_back(base);
-            next.push_back(base | (1u << i));
-          }
+  mig::Mig read() {
+    std::string_view line;
+    size_t line_number = 0;
+    uint32_t current = kNone;  ///< table the cover rows belong to
+    while (next_line(line, line_number)) {
+      std::string_view rest = line;
+      const std::string_view head = next_token(rest);
+      if (head.empty()) continue;
+      if (head == ".model" || head == ".end") {
+        current = kNone;
+      } else if (head == ".inputs") {
+        for (auto name = next_token(rest); !name.empty(); name = next_token(rest)) {
+          Name& n = names_[drive(intern(name), line_number)];
+          n.signal = mig_.create_pi();
+          n.state = Name::resolved;
         }
-        minterms = std::move(next);
+        current = kNone;
+      } else if (head == ".outputs") {
+        for (auto name = next_token(rest); !name.empty(); name = next_token(rest)) {
+          outputs_.push_back(intern(name));
+        }
+        outputs_line_ = line_number;
+        current = kNone;
+      } else if (head == ".names") {
+        const auto first = static_cast<uint32_t>(table_inputs_.size());
+        for (auto name = next_token(rest); !name.empty(); name = next_token(rest)) {
+          table_inputs_.push_back(intern(name));
+        }
+        if (table_inputs_.size() == first) {
+          throw error_at(line_number, ".names without signals");
+        }
+        const uint32_t output = drive(table_inputs_.back(), line_number);
+        table_inputs_.pop_back();
+        current = static_cast<uint32_t>(tables_.size());
+        names_[output].table = current;
+        tables_.push_back({.output = output,
+                           .first_input = first,
+                           .num_inputs = static_cast<uint32_t>(table_inputs_.size()) - first,
+                           .line = line_number});
+      } else if (head[0] == '.') {
+        throw error_at(line_number, "unsupported BLIF construct: " + std::string(head));
+      } else if (current == kNone) {
+        throw error_at(line_number, "cover row outside .names");
+      } else {
+        fold_row(tables_[current], line.substr(static_cast<size_t>(head.data() - line.data())));
       }
-      for (const uint32_t mt : minterms) on_set.set_bit(mt, true);
     }
-    tt::TruthTable f = on_set;
-    if (!t.rows.empty() && !output_one) f = ~f;
-    if (t.rows.empty()) f = tt::TruthTable::constant(k, false);
-    return build_function(m, f, leaves);
+    for (const uint32_t output : outputs_) mig_.create_po(resolve(output, outputs_line_));
+    return std::move(mig_);
+  }
+
+private:
+  struct Name {
+    std::string_view text;
+    mig::Signal signal;        ///< valid once resolved
+    uint32_t table = kNone;    ///< driving table
+    size_t driver_line = 0;    ///< line of the driving .inputs/.names; 0 = undriven
+    enum : uint8_t { unresolved, in_progress, resolved } state = unresolved;
   };
+
+  struct Table {
+    uint32_t output;
+    uint32_t first_input;  ///< into table_inputs_
+    uint32_t num_inputs;
+    size_t line;           ///< physical line of the .names directive (for errors)
+    uint16_t cover = 0;    ///< union of the rows' cubes (tables of <= 4 inputs)
+    int8_t value = -1;     ///< output value of the rows; -1 while there are none
+    /// What is wrong with `bad_row`, the first malformed row; reported only
+    /// when an output reaches the table, as a table over 4 inputs is.
+    const char* error = nullptr;
+    std::string_view bad_row{};
+  };
+
+  /// A table whose inputs are being resolved, left to right.
+  struct Frame {
+    uint32_t name;
+    uint32_t resolved_inputs = 0;
+    std::array<mig::Signal, 4> leaves{};
+  };
+
+  /// Yields the next logical line: a '\r' before the newline is dropped,
+  /// '#' comments are cut, and backslash continuations (whitespace after the
+  /// backslash tolerated, as common exporters emit it) are joined with a
+  /// blank, so they join tokens without fusing them.  `line_number` is the
+  /// physical line the logical line starts on, so errors point into the file.
+  bool next_line(std::string_view& line, size_t& line_number) {
+    bool continued = false;
+    size_t joined_begin = 0;
+    while (pos_ < text_.size()) {
+      const size_t newline = text_.find('\n', pos_);
+      const size_t end = newline == std::string_view::npos ? text_.size() : newline;
+      std::string_view physical = text_.substr(pos_, end - pos_);
+      pos_ = end + 1;
+      ++physical_line_;
+      if (!physical.empty() && physical.back() == '\r') physical.remove_suffix(1);
+      if (const auto hash = physical.find('#'); hash != std::string_view::npos) {
+        physical = physical.substr(0, hash);
+      }
+      if (!continued) line_number = physical_line_;
+      const auto last = physical.find_last_not_of(" \t");
+      if (last != std::string_view::npos && physical[last] == '\\') {
+        if (!continued) {
+          // Joined lines are never longer than their text, so the buffer
+          // never reallocates and views into it stay valid.
+          if (joined_.empty()) joined_.reserve(text_.size());
+          joined_begin = joined_.size();
+          continued = true;
+        }
+        joined_.append(physical.substr(0, last));
+        joined_.push_back(' ');
+        continue;
+      }
+      if (!continued) {
+        line = physical;
+        return true;
+      }
+      joined_.append(physical);
+      line = std::string_view(joined_).substr(joined_begin);
+      return true;
+    }
+    if (continued) throw error_at(line_number, "backslash continuation at end of file");
+    return false;
+  }
+
+  uint32_t intern(std::string_view name) {
+    const auto [it, inserted] =
+        ids_.try_emplace(name, static_cast<uint32_t>(names_.size()));
+    if (inserted) names_.emplace_back().text = name;
+    return it->second;
+  }
+
+  /// Records `line` as the driver of `id`; a signal has one driver.
+  uint32_t drive(uint32_t id, size_t line) {
+    Name& n = names_[id];
+    if (n.driver_line != 0) {
+      throw error_at(line, "signal '" + std::string(n.text) +
+                               "' has more than one driver (first driven at line " +
+                               std::to_string(n.driver_line) + ")");
+    }
+    n.driver_line = line;
+    return id;
+  }
+
+  /// Folds one cover row into its table.  A malformed row is kept, and
+  /// reported only when an output reaches the table.
+  void fold_row(Table& t, std::string_view row) {
+    if (t.num_inputs > 4 || t.error != nullptr) return;
+    const auto fail = [&](const char* what) {
+      t.error = what;
+      t.bad_row = row;
+    };
+    std::string_view rest = row;
+    std::string_view pattern;
+    if (t.num_inputs > 0) pattern = next_token(rest);
+    const std::string_view value = next_token(rest);
+    if (value.empty()) return fail("malformed cover row in");
+    if (!next_token(rest).empty()) return fail("trailing tokens in cover row of");
+    if (pattern.size() != t.num_inputs) return fail("cover row width mismatch in");
+    uint16_t cube = 0xffff;
+    for (uint32_t i = 0; i < t.num_inputs; ++i) {
+      if (pattern[i] == '1') {
+        cube &= kProjection[i];
+      } else if (pattern[i] == '0') {
+        cube &= static_cast<uint16_t>(~kProjection[i]);
+      } else if (pattern[i] != '-') {
+        return fail("cover row character other than 0, 1 or - in");
+      }
+    }
+    if (value != "0" && value != "1") return fail("cover row output other than 0 or 1 in");
+    const int8_t v = value == "1" ? 1 : 0;
+    if (t.value >= 0 && t.value != v) return fail("ON-set and OFF-set rows mixed in");
+    t.value = v;
+    t.cover |= cube;
+  }
+
+  api::Error row_error(const Table& t) const {
+    std::string message = std::string(t.error) + " table '" +
+                          std::string(names_[t.output].text) + "':";
+    std::string_view rest = t.bad_row;
+    for (auto token = next_token(rest); !token.empty(); token = next_token(rest)) {
+      message += ' ';
+      message += token;
+    }
+    return error_at(t.line, message);
+  }
 
   // Resolve signals with an explicit stack (BLIF does not promise
   // topological order, and call-stack recursion would overflow on deeply
@@ -285,58 +376,80 @@ mig::Mig read_blif(std::istream& is) {
   // the use, not somewhere downstream.  A name reached again while its own
   // table is still being resolved is a combinational cycle, which recursion
   // would chase forever.
-  struct Frame {
-    std::string name;
-    const Table* table;
-    std::vector<mig::Signal> leaves;  ///< resolved inputs so far
-  };
-  std::set<std::string> in_progress;
-  std::vector<Frame> stack;
 
-  // Returns the signal when `name` is already resolved, otherwise pushes a
-  // frame for its driving table and returns nullptr.
-  auto lookup_or_push = [&](const std::string& name,
-                            size_t referenced_at) -> const mig::Signal* {
-    if (const auto it = signals.find(name); it != signals.end()) return &it->second;
-    const auto t_it = by_output.find(name);
-    if (t_it == by_output.end()) {
-      throw error_at(referenced_at, "signal without driver: " + name);
+  /// True when `id` is resolved; otherwise pushes a frame for its driving
+  /// table.
+  bool resolved_or_push(uint32_t id, size_t referenced_at) {
+    Name& n = names_[id];
+    if (n.state == Name::resolved) return true;
+    if (n.table == kNone) {
+      throw error_at(referenced_at, "signal without driver: " + std::string(n.text));
     }
-    const Table& t = *t_it->second;
-    if (t.inputs.size() > 4) {
-      throw error_at(t.line, "table with more than 4 inputs: " + name);
+    const Table& t = tables_[n.table];
+    if (t.num_inputs > 4) {
+      throw error_at(t.line, "table with more than 4 inputs: " + std::string(n.text));
     }
-    if (!in_progress.insert(name).second) {
-      throw error_at(t.line, "combinational cycle through signal: " + name);
+    if (n.state == Name::in_progress) {
+      throw error_at(t.line, "combinational cycle through signal: " + std::string(n.text));
     }
-    stack.push_back({name, &t, {}});
-    return nullptr;
-  };
+    n.state = Name::in_progress;
+    stack_.push_back({id});
+    return false;
+  }
 
-  auto resolve = [&](const std::string& root, size_t referenced_at) -> mig::Signal {
-    if (const auto* s = lookup_or_push(root, referenced_at)) return *s;
-    while (!stack.empty()) {
-      Frame& top = stack.back();
-      if (top.leaves.size() < top.table->inputs.size()) {
-        const std::string& next = top.table->inputs[top.leaves.size()];
-        // Either consumes an already-resolved leaf or pushes its table;
-        // the loop revisits this frame after the new frame completes.
-        if (const auto* s = lookup_or_push(next, top.table->line)) {
-          top.leaves.push_back(*s);
+  mig::Signal resolve(uint32_t root, size_t referenced_at) {
+    if (resolved_or_push(root, referenced_at)) return names_[root].signal;
+    while (!stack_.empty()) {
+      Frame& top = stack_.back();
+      const Table& t = tables_[names_[top.name].table];
+      if (top.resolved_inputs < t.num_inputs) {
+        const uint32_t next = table_inputs_[t.first_input + top.resolved_inputs];
+        // Either consumes an already-resolved leaf or pushes its table (and
+        // leaves `top` alone); the loop revisits this frame after the new
+        // frame completes.
+        if (resolved_or_push(next, t.line)) {
+          top.leaves[top.resolved_inputs++] = names_[next].signal;
         }
         continue;
       }
-      signals[top.name] = build_table(*top.table, top.leaves);
-      in_progress.erase(top.name);
-      stack.pop_back();
+      if (t.error != nullptr) throw row_error(t);
+      tt::TruthTable f(t.num_inputs, t.cover);
+      if (t.value == 0) f = ~f;
+      Name& n = names_[top.name];
+      n.signal = build_function(mig_, f, top.leaves.data());
+      n.state = Name::resolved;
+      stack_.pop_back();
     }
-    return signals.at(root);
-  };
-
-  for (const auto& name : output_names) {
-    m.create_po(resolve(name, outputs_line));
+    return names_[root].signal;
   }
-  return m;
+
+  std::string_view text_;
+  size_t pos_ = 0;            ///< start of the next physical line
+  size_t physical_line_ = 0;  ///< physical lines consumed so far
+  std::string joined_;        ///< continued lines, joined
+
+  mig::Mig mig_;
+  std::unordered_map<std::string_view, uint32_t> ids_;
+  std::vector<Name> names_;
+  std::vector<Table> tables_;
+  std::vector<uint32_t> table_inputs_;  ///< every table's inputs, back to back
+  std::vector<uint32_t> outputs_;
+  size_t outputs_line_ = 0;
+  std::vector<Frame> stack_;
+};
+
+}  // namespace
+
+mig::Mig read_blif(std::string_view text) { return BlifReader(text).read(); }
+
+mig::Mig read_blif(std::istream& is) {
+  std::string text;
+  char chunk[1 << 16];
+  do {
+    is.read(chunk, sizeof(chunk));
+    text.append(chunk, static_cast<size_t>(is.gcount()));
+  } while (is);
+  return read_blif(text);
 }
 
 mig::Mig read_blif_file(const std::string& path) {

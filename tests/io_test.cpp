@@ -8,13 +8,99 @@
 #include <fstream>
 #include <sstream>
 
+#include "api/error.hpp"
 #include "cec/cec.hpp"
+#include "flow/corpus.hpp"
 #include "gen/arith.hpp"
 #include "mig/simulation.hpp"
 #include "test_util.hpp"
 
 namespace mighty::io {
 namespace {
+
+/// FNV-1a over a byte range, chained through `h`.
+uint64_t fnv(uint64_t h, const void* data, size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// Chains the structural digest of `m` into `h`: PI and node counts, every
+/// gate's fanins in node order, every output.  Equal digests mean the reader
+/// built the same network node for node.
+uint64_t structural_digest(uint64_t h, const mig::Mig& m) {
+  const uint32_t header[3] = {m.num_pis(), m.num_nodes(), m.num_pos()};
+  h = fnv(h, header, sizeof(header));
+  for (uint32_t n = 0; n < m.num_nodes(); ++n) {
+    if (!m.is_gate(n)) continue;
+    for (const mig::Signal s : m.fanins(n)) {
+      const uint32_t raw = s.raw();
+      h = fnv(h, &raw, sizeof(raw));
+    }
+  }
+  for (const mig::Signal s : m.outputs()) {
+    const uint32_t raw = s.raw();
+    h = fnv(h, &raw, sizeof(raw));
+  }
+  return h;
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+/// A hand-written BLIF with a 3-input table and don't-cares.
+const std::string kForeignBlif = R"(
+# a comment
+.model test
+.inputs a b c
+.outputs f g
+.names a b t
+11 1
+.names t c f
+1- 1
+-1 1
+.names a g
+0 1
+.end
+)";
+
+// Golden digests, taken with the line-by-line reader and string-building
+// writer this reader and writer replaced: a change of either digest means
+// the network (or the bytes) a BLIF text turns into changed.
+TEST(BlifGoldenTest, CorpusBlifIsUnchanged) {
+  uint64_t text_digest = kFnvBasis;
+  uint64_t network_digest = kFnvBasis;
+  for (const auto& entry : flow::Corpus::generated_arithmetic()) {
+    std::ostringstream os;
+    write_blif(os, entry.mig);
+    const std::string text = os.str();
+    text_digest = fnv(text_digest, text.data(), text.size());
+    network_digest = structural_digest(network_digest, read_blif(text));
+  }
+  EXPECT_EQ(text_digest, 0xfd0b6840a0711bb0ull) << std::hex << text_digest;
+  EXPECT_EQ(network_digest, 0x1dbbeca5f52ea2f0ull) << std::hex << network_digest;
+}
+
+TEST(BlifGoldenTest, SeedsAndForeignBlifAreUnchanged) {
+  uint64_t digest = kFnvBasis;
+  for (const char* seed : {"adder1", "const", "continuation", "xor_chain"}) {
+    const std::string path =
+        std::string(MIGHTY_SOURCE_DIR) + "/fuzz/corpus/blif/" + seed + ".blif";
+    const std::string text = read_text(path);
+    ASSERT_FALSE(text.empty()) << path;
+    digest = structural_digest(digest, read_blif(text));
+  }
+  digest = structural_digest(digest, read_blif(kForeignBlif));
+  EXPECT_EQ(digest, 0x4c616e65a04f6d3eull) << std::hex << digest;
+}
 
 TEST(BlifTest, RoundTripPreservesFunction) {
   for (uint32_t seed = 0; seed < 10; ++seed) {
@@ -43,22 +129,7 @@ TEST(BlifTest, RoundTripWithConstantsAndComplementedOutputs) {
 }
 
 TEST(BlifTest, ReadsForeignBlif) {
-  // A hand-written BLIF with a 3-input table and don't-cares.
-  const std::string text = R"(
-# a comment
-.model test
-.inputs a b c
-.outputs f g
-.names a b t
-11 1
-.names t c f
-1- 1
--1 1
-.names a g
-0 1
-.end
-)";
-  std::stringstream ss(text);
+  std::stringstream ss(kForeignBlif);
   const auto m = read_blif(ss);
   ASSERT_EQ(m.num_pis(), 3u);
   ASSERT_EQ(m.num_pos(), 2u);
@@ -155,6 +226,88 @@ TEST(BlifTest, FileErrorsNameTheFile) {
     EXPECT_NE(std::string(e.what()).find("BLIF line"), std::string::npos);
   }
   std::filesystem::remove(path);
+}
+
+/// The message of the invalid_network error read_blif throws on `text`, or
+/// "(no error)".
+std::string rejection_of(const std::string& text) {
+  try {
+    read_blif(text);
+  } catch (const api::Error& e) {
+    EXPECT_EQ(e.code(), api::ErrorCode::invalid_network) << e.what();
+    return e.what();
+  }
+  return "(no error)";
+}
+
+bool mentions(const std::string& message, const std::string& part) {
+  return message.find(part) != std::string::npos;
+}
+
+TEST(BlifTest, RejectsUnknownPatternCharacter) {
+  // Was read as "1- 1".
+  const auto m = rejection_of(".model x\n.inputs a b\n.outputs y\n.names a b y\n1x 1\n.end\n");
+  EXPECT_TRUE(mentions(m, "BLIF line 4")) << m;
+  EXPECT_TRUE(mentions(m, "1x 1")) << m;
+}
+
+TEST(BlifTest, RejectsOutputValueOtherThanZeroOrOne) {
+  // Was read as an OFF-set row.
+  const auto m = rejection_of(".model x\n.inputs a b\n.outputs y\n.names a b y\n11 2\n.end\n");
+  EXPECT_TRUE(mentions(m, "BLIF line 4")) << m;
+  EXPECT_TRUE(mentions(m, "11 2")) << m;
+}
+
+TEST(BlifTest, RejectsTableMixingOnAndOffSetRows) {
+  // Was read as XOR: the last row's value set the polarity of every row.
+  const auto m = rejection_of(
+      ".model x\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n.end\n");
+  EXPECT_TRUE(mentions(m, "BLIF line 4")) << m;
+  EXPECT_TRUE(mentions(m, "ON-set and OFF-set rows mixed")) << m;
+  EXPECT_TRUE(mentions(m, "00 0")) << m;
+}
+
+TEST(BlifTest, AcceptsOffSetCovers) {
+  const auto m = read_blif(".model x\n.inputs a b\n.outputs y\n.names a b y\n11 0\n00 0\n.end\n");
+  const auto ta = tt::TruthTable::projection(2, 0);
+  const auto tb = tt::TruthTable::projection(2, 1);
+  EXPECT_EQ(mig::output_truth_tables(m)[0], ta ^ tb);
+}
+
+TEST(BlifTest, RejectsSecondTableForOneSignal) {
+  // The last table used to win.
+  const auto m = rejection_of(
+      ".model x\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.names a b y\n00 1\n.end\n");
+  EXPECT_TRUE(mentions(m, "BLIF line 6")) << m;
+  EXPECT_TRUE(mentions(m, "'y' has more than one driver (first driven at line 4)")) << m;
+}
+
+TEST(BlifTest, RejectsTableDrivingPrimaryInput) {
+  // The table used to be ignored.
+  const auto m = rejection_of(
+      ".model x\n.inputs a b\n.outputs y\n.names b a\n1 1\n.names a b y\n11 1\n.end\n");
+  EXPECT_TRUE(mentions(m, "BLIF line 4")) << m;
+  EXPECT_TRUE(mentions(m, "'a' has more than one driver (first driven at line 2)")) << m;
+}
+
+TEST(BlifTest, RejectsRepeatedInputName) {
+  // Used to make two inputs, the name bound to the second.
+  const auto m = rejection_of(".model x\n.inputs a b\n.inputs a\n.outputs y\n.names a b y\n11 1\n");
+  EXPECT_TRUE(mentions(m, "BLIF line 3")) << m;
+  EXPECT_TRUE(mentions(m, "'a' has more than one driver (first driven at line 2)")) << m;
+}
+
+TEST(BlifTest, ChecksOnlyTablesAnOutputReaches) {
+  // A wide table and a malformed row are rejected when an output needs
+  // them, and ignored otherwise.
+  const std::string unused =
+      ".names a b c d e w\n11111 1\n.names a b bad\n1x 1\n";
+  const std::string head = ".model x\n.inputs a b c d e\n.outputs y\n.names a b y\n11 1\n";
+  EXPECT_EQ(read_blif(head + unused).num_pos(), 1u);
+  EXPECT_TRUE(mentions(rejection_of(".model x\n.inputs a b c d e\n.outputs w\n" + unused),
+                       "table with more than 4 inputs: w"));
+  EXPECT_TRUE(mentions(rejection_of(".model x\n.inputs a b c d e\n.outputs bad\n" + unused),
+                       "BLIF line 6"));
 }
 
 TEST(BlifTest, RejectsLatches) {
