@@ -121,7 +121,11 @@ class Service {
   virtual JobStatus status(JobId id) = 0;
 
   /// Blocks until the job is terminal, then returns its result.  Throws
-  /// Error(job_not_found) for unknown ids.
+  /// Error(job_not_found) for unknown ids.  The optimized network is handed
+  /// out once and then freed: a later call on a `done` job returns the same
+  /// code (ok) and report, an empty `network_blif`, and a `message` saying
+  /// the network was already collected.  Failed and cancelled jobs return
+  /// the same result every time.
   virtual JobResult result(JobId id) = 0;
 
   /// Requests cancellation.  Returns true when the call had an effect (the

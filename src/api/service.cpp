@@ -23,6 +23,9 @@ const char* job_state_name(JobState state) {
   return "?";
 }
 
+constexpr const char* kNetworkCollected =
+    "network already collected by an earlier result() call";
+
 struct LocalService::Impl {
   struct Job {
     JobId id = 0;
@@ -31,6 +34,7 @@ struct LocalService::Impl {
     flow::RunControl control;
     JobState state = JobState::queued;
     JobResult result;
+    bool network_collected = false;  ///< result() has handed the network out
   };
 
   explicit Impl(Params params)
@@ -80,7 +84,15 @@ struct LocalService::Impl {
     util::MutexLock lock(mutex_);
     auto job = find_locked(id);
     while (!is_terminal(job->state)) done_cv_.wait(lock);
-    return job->result;
+    // The network is handed out once, then freed: a finished job would
+    // otherwise hold its BLIF for the life of the service.
+    JobResult& kept = job->result;
+    JobResult out{kept.code, kept.message, std::move(kept.network_blif), kept.report};
+    if (kept.code == ErrorCode::ok) {
+      if (job->network_collected) out.message = kNetworkCollected;
+      job->network_collected = true;
+    }
+    return out;
   }
 
   bool cancel(JobId id) {

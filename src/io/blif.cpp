@@ -230,6 +230,9 @@ public:
         fold_row(tables_[current], line.substr(static_cast<size_t>(head.data() - line.data())));
       }
     }
+    // A written network has one table per gate; a foreign table may take
+    // a few gates, so this is only a hint.
+    mig_.reserve(mig_.num_nodes() + static_cast<uint32_t>(tables_.size()));
     for (const uint32_t output : outputs_) mig_.create_po(resolve(output, outputs_line_));
     return std::move(mig_);
   }

@@ -7,16 +7,20 @@ namespace mighty::io {
 namespace {
 
 std::string signal_expr(const mig::Mig& mig, mig::Signal s) {
-  std::string base;
   if (mig.is_constant(s.index())) {
     return s.is_complemented() ? "1'b1" : "1'b0";
   }
+  // Appended front to back: prepending "~" to a built name is a string
+  // insert that GCC 12 misreads as an overlapping copy (-Wrestrict).
+  std::string expr = s.is_complemented() ? "~" : "";
   if (mig.is_pi(s.index())) {
-    base = "x" + std::to_string(mig.pi_index(s.index()));
+    expr += 'x';
+    expr += std::to_string(mig.pi_index(s.index()));
   } else {
-    base = "n" + std::to_string(s.index());
+    expr += 'n';
+    expr += std::to_string(s.index());
   }
-  return s.is_complemented() ? "~" + base : base;
+  return expr;
 }
 
 }  // namespace

@@ -75,11 +75,12 @@ mig::Mig depth_optimize(const mig::Mig& m, const DepthOptParams& params = {},
 
 struct SizeOptParams {
   uint32_t max_rounds = 4;
-  /// Worker pool for the shard-parallel rewrite.  The reverse-distributivity
-  /// rule only ever fires on single-fanout gate pairs, which are confined to
-  /// one fanout-free region by definition, so regions rewrite independently
-  /// and merge deterministically — the result is bit-identical for any pool
-  /// size, including none.  Not owned.
+  /// Worker pool for rewriting the regions a round marks.  The reverse-
+  /// distributivity rule only fires on single-fanout gate pairs, which lie in
+  /// one fanout-free region, so each round scans the network inline, rewrites
+  /// just the regions with a firing gate (concurrently on the pool), and
+  /// splices every other region verbatim; the result is bit-identical for
+  /// any pool size, including none.  Not owned.
   util::ThreadPool* pool = nullptr;
 };
 

@@ -1,10 +1,13 @@
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "mig/algebra/algebra.hpp"
 #include "mig/ffr.hpp"
 #include "mig/shard.hpp"
+#include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
 /// Algebraic size reduction: reverse distributivity
@@ -14,31 +17,66 @@
 ///
 /// The rule requires both shared gates to be single-fanout, and single-
 /// fanout gates belong to the same fanout-free region as their unique
-/// fanout — so a round of rewriting decomposes exactly like the functional-
-/// hashing passes: every region rewrites independently (in a private network
-/// over the region's inputs, concurrently when a pool is given), and a
-/// deterministic sequential splice replays the results.  Output is
-/// bit-identical for any pool size.
+/// fanout, so regions rewrite independently, each in a private network over
+/// its inputs.  A round scans the source once and marks the regions with a
+/// member on which the rule fires as the source stands; only those are
+/// rewritten (concurrently when a pool is given), and the splice replays
+/// every other region verbatim from the source.  That skips no firing: the
+/// source is strashed and a region's inputs are distinct PIs of its private
+/// network, so until its first firing member a rewrite is a 1:1 copy of the
+/// source, and that member sees the source structure.  Output is bit-
+/// identical for any pool size.
 
 namespace mighty::algebra {
 
 namespace {
 
-struct GateView {
-  bool is_gate = false;
-  std::array<mig::Signal, 3> fanin;
+/// Operands of <<xyu><xyv>z>: the shared gates' common x, y and rests u, v.
+struct Match {
+  std::array<mig::Signal, 2> common;
+  mig::Signal u, v, z;
 };
 
-GateView view_as_gate(const mig::Mig& m, mig::Signal s) {
-  GateView v;
-  if (!m.is_gate(s.index())) return v;
-  v.is_gate = true;
-  const auto& f = m.fanins(s.index());
-  for (int i = 0; i < 3; ++i) {
-    v.fanin[static_cast<size_t>(i)] =
-        s.is_complemented() ? !f[static_cast<size_t>(i)] : f[static_cast<size_t>(i)];
+/// The first fanin pair of a gate with fanins `in` (in `net`) on which the
+/// rule fires: both are gates that die afterwards (fanout at most one in
+/// the source, whose fanins of the gate are `f`) and share exactly two
+/// operands.  Gate fanins are distinct, so sharing is set intersection.
+std::optional<Match> find_match(const mig::Mig& net, const std::array<mig::Signal, 3>& in,
+                                const std::array<mig::Signal, 3>& f,
+                                const std::vector<uint32_t>& fanout) {
+  const auto operands = [&](mig::Signal s) {
+    std::array<mig::Signal, 3> ops = net.fanins(s.index());
+    for (mig::Signal& o : ops) o = o ^ s.is_complemented();
+    return ops;
+  };
+  const auto has = [](const std::array<mig::Signal, 3>& ops, mig::Signal s) {
+    return std::find(ops.begin(), ops.end(), s) != ops.end();
+  };
+  for (const auto& [i, j] : {std::pair{0, 1}, {0, 2}, {1, 2}}) {
+    if (fanout[f[i].index()] > 1 || fanout[f[j].index()] > 1 ||
+        !net.is_gate(in[i].index()) || !net.is_gate(in[j].index())) {
+      continue;
+    }
+    const auto a = operands(in[i]), b = operands(in[j]);
+    Match m;
+    m.z = in[3 - i - j];
+    size_t common = 0;
+    for (const mig::Signal s : a) {
+      if (!has(b, s)) {
+        m.u = s;
+      } else if (common < 2) {
+        m.common[common++] = s;
+      } else {
+        common = 3;  // the same gate up to polarity
+      }
+    }
+    if (common != 2) continue;
+    for (const mig::Signal s : b) {
+      if (!has(a, s)) m.v = s;
+    }
+    return m;
   }
-  return v;
+  return std::nullopt;
 }
 
 /// One region's rewritten implementation over its inputs.
@@ -66,63 +104,15 @@ RegionOutcome rewrite_region(const mig::Mig& source,
   for (const uint32_t v : members) {
     const auto& f = source.fanins(v);
     std::array<mig::Signal, 3> in;
-    std::array<uint32_t, 3> old_fanout{};
-    for (int i = 0; i < 3; ++i) {
-      const auto& s = f[static_cast<size_t>(i)];
-      in[static_cast<size_t>(i)] = map.at(s.index()) ^ s.is_complemented();
-      old_fanout[static_cast<size_t>(i)] = fanout[s.index()];
+    for (size_t i = 0; i < 3; ++i) in[i] = map.at(f[i].index()) ^ f[i].is_complemented();
+    if (const auto m = find_match(outcome.net, in, f, fanout)) {
+      // <<xyu><xyv>z> = <xy<uvz>>
+      const mig::Signal inner = outcome.net.create_maj(m->u, m->v, m->z);
+      map[v] = outcome.net.create_maj(m->common[0], m->common[1], inner);
+      ++outcome.applied;
+    } else {
+      map[v] = outcome.net.create_maj(in[0], in[1], in[2]);
     }
-
-    mig::Signal result;
-    bool rewritten = false;
-    // Try every pair of fanins as the shared-gate pair (A, B).
-    for (int i = 0; i < 3 && !rewritten; ++i) {
-      for (int j = i + 1; j < 3 && !rewritten; ++j) {
-        const int k = 3 - i - j;
-        const GateView a = view_as_gate(outcome.net, in[static_cast<size_t>(i)]);
-        const GateView b = view_as_gate(outcome.net, in[static_cast<size_t>(j)]);
-        if (!a.is_gate || !b.is_gate) continue;
-        // Only profitable when both shared gates die afterwards.
-        if (old_fanout[static_cast<size_t>(i)] > 1 ||
-            old_fanout[static_cast<size_t>(j)] > 1) {
-          continue;
-        }
-        // Find two common operands x, y of A and B.
-        std::vector<mig::Signal> common;
-        std::vector<mig::Signal> a_rest, b_rest;
-        std::array<bool, 3> b_used{};
-        for (const mig::Signal sa : a.fanin) {
-          bool matched = false;
-          for (int t = 0; t < 3; ++t) {
-            if (!b_used[static_cast<size_t>(t)] &&
-                b.fanin[static_cast<size_t>(t)] == sa) {
-              b_used[static_cast<size_t>(t)] = true;
-              common.push_back(sa);
-              matched = true;
-              break;
-            }
-          }
-          if (!matched) a_rest.push_back(sa);
-        }
-        for (int t = 0; t < 3; ++t) {
-          if (!b_used[static_cast<size_t>(t)]) {
-            b_rest.push_back(b.fanin[static_cast<size_t>(t)]);
-          }
-        }
-        if (common.size() == 2 && a_rest.size() == 1 && b_rest.size() == 1) {
-          // <<xyu><xyv>z> = <xy<uvz>>
-          const mig::Signal inner =
-              outcome.net.create_maj(a_rest[0], b_rest[0], in[static_cast<size_t>(k)]);
-          result = outcome.net.create_maj(common[0], common[1], inner);
-          rewritten = true;
-          ++outcome.applied;
-        }
-      }
-    }
-    if (!rewritten) {
-      result = outcome.net.create_maj(in[0], in[1], in[2]);
-    }
-    map[v] = result;
   }
 
   outcome.chosen = map.at(root);
@@ -145,34 +135,37 @@ mig::Mig size_optimize(const mig::Mig& m, const SizeOptParams& params,
     const auto regions = shard::collect_region_members(source, partition);
     const auto fanout = source.compute_fanout_counts();
 
-    // Rewrite regions concurrently; regions are independent for this rule.
-    const auto plan =
-        shard::plan_ffr_shards(source, partition, shard::shard_count(params.pool));
-    std::vector<RegionOutcome> outcomes(regions.live_roots.size());
-    util::parallel_for(params.pool, plan.shards.size(), [&](size_t s) {
-      for (const uint32_t root : plan.shards[s].roots) {
-        const uint32_t r = regions.region_index[root];
-        outcomes[r] = rewrite_region(source, fanout, regions.members[r]);
+    // Mark inline: one scan, stopping at each region's first firing member.
+    std::vector<uint32_t> marked;
+    for (uint32_t r = 0; r < regions.members.size(); ++r) {
+      for (const uint32_t v : regions.members[r]) {
+        const auto& f = source.fanins(v);
+        if (find_match(source, f, f, fanout)) {
+          marked.push_back(r);
+          break;
+        }
       }
+    }
+    if (marked.empty()) break;  // a splice would rebuild `source` verbatim
+
+    std::vector<RegionOutcome> outcomes(marked.size());
+    util::parallel_for(params.pool, marked.size(), [&](size_t i) {
+      outcomes[i] = rewrite_region(source, fanout, regions.members[marked[i]]);
     });
+    std::vector<const shard::RegionNet*> rebuilt(regions.live_roots.size(), nullptr);
+    for (size_t i = 0; i < marked.size(); ++i) {
+      MIGHTY_ASSERT(outcomes[i].applied > 0);  // the marking member fires
+      local.applied_distributivity += outcomes[i].applied;
+      rebuilt[marked[i]] = &outcomes[i];
+    }
 
     // Deterministic splice in topological root order.  Replaying only live
     // region cones leaves at most stray strash-simplified gates, so rounds
     // skip the full cleanup copy and decide on reachable-gate counts; one
     // final cleanup below restores the compact-network guarantee.
-    bool changed = false;
-    for (const RegionOutcome& outcome : outcomes) {
-      if (outcome.applied > 0) changed = true;
-      local.applied_distributivity += outcome.applied;
-    }
     mig::Mig next = shard::splice_regions(
-        source, regions.live_roots,
-        [&](size_t i) -> const shard::RegionNet& { return outcomes[i]; });
-
-    if (!changed || next.count_live_gates() >= source.count_live_gates()) {
-      if (next.count_live_gates() < source.count_live_gates()) source = std::move(next);
-      break;
-    }
+        source, regions, [&](size_t i) { return rebuilt[i]; });
+    if (next.count_live_gates() >= source.count_live_gates()) break;
     source = std::move(next);
   }
 

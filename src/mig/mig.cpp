@@ -10,6 +10,11 @@ Mig::Mig() {
   nodes_.push_back(Node{{Signal(0, false), Signal(0, false), Signal(0, false)}});
 }
 
+void Mig::reserve(uint32_t nodes) {
+  nodes_.reserve(nodes);
+  strash_.reserve(nodes);
+}
+
 Signal Mig::create_pi() {
   MIGHTY_ASSERT(num_gates() == 0 && "PIs must be created before any gate");
   nodes_.push_back(Node{{Signal(0, false), Signal(0, false), Signal(0, false)}});
@@ -147,6 +152,7 @@ std::vector<uint32_t> Mig::compute_fanout_counts() const {
 
 Mig Mig::cleanup(std::vector<Signal>* old_to_new) const {
   Mig result;
+  result.reserve(num_nodes());
   std::vector<Signal> map(num_nodes(), result.get_constant(false));
   for (uint32_t i = 0; i < num_pis_; ++i) map[1 + i] = result.create_pi();
 

@@ -54,6 +54,11 @@ public:
 
   Mig();
 
+  /// Sizes the node store and the structural-hash table for `nodes` nodes
+  /// (constant and PIs included), so building that many never reallocates
+  /// or rehashes.  A hint only: the network may still grow past it.
+  void reserve(uint32_t nodes);
+
   /// The constant signal (`value` selects polarity).
   Signal get_constant(bool value) const { return Signal(constant_node, value); }
 

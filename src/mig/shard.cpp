@@ -121,15 +121,26 @@ mig::Signal splice_region(const RegionNet& region,
 
 }  // namespace
 
-mig::Mig splice_regions(const mig::Mig& mig, const std::vector<uint32_t>& live_roots,
-                        const std::function<const RegionNet&(size_t)>& region) {
+mig::Mig splice_regions(const mig::Mig& mig, const RegionMembers& regions,
+                        const std::function<const RegionNet*(size_t)>& region) {
   mig::Mig result;
+  result.reserve(mig.num_nodes());
   std::vector<mig::Signal> committed_sig(mig.num_nodes(), result.get_constant(false));
   for (uint32_t i = 0; i < mig.num_pis(); ++i) {
     committed_sig[1 + i] = result.create_pi();
   }
-  for (size_t i = 0; i < live_roots.size(); ++i) {
-    committed_sig[live_roots[i]] = splice_region(region(i), committed_sig, result);
+  for (size_t i = 0; i < regions.live_roots.size(); ++i) {
+    if (const RegionNet* rebuilt = region(i)) {
+      committed_sig[regions.live_roots[i]] = splice_region(*rebuilt, committed_sig, result);
+      continue;
+    }
+    for (const uint32_t v : regions.members[i]) {  // unchanged: copy from `mig`
+      const auto& f = mig.fanins(v);
+      committed_sig[v] =
+          result.create_maj(committed_sig[f[0].index()] ^ f[0].is_complemented(),
+                            committed_sig[f[1].index()] ^ f[1].is_complemented(),
+                            committed_sig[f[2].index()] ^ f[2].is_complemented());
+    }
   }
   for (const mig::Signal o : mig.outputs()) {
     result.create_po(committed_sig[o.index()] ^ o.is_complemented());

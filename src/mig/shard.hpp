@@ -88,12 +88,14 @@ struct RegionNet {
 };
 
 /// Deterministic merge step shared by the region-parallel passes: builds a
-/// network with the PIs of `mig`, then replays the live cone of every live
-/// region's `chosen` signal in ascending root order (`region(i)` is the
-/// region of `live_roots[i]`), then the POs of `mig`.  Structural hashing in
-/// the result re-establishes cross-region sharing.
-mig::Mig splice_regions(const mig::Mig& mig, const std::vector<uint32_t>& live_roots,
-                        const std::function<const RegionNet&(size_t)>& region);
+/// network with the PIs of `mig`, then replays every live region of
+/// `regions` in ascending root order, then the POs of `mig`.  `region(i)` is
+/// the rebuilt region of `regions.live_roots[i]`, whose `chosen` cone is
+/// replayed; null means the pass left the region unchanged, and its members
+/// are replayed from `mig` in ascending order.  Structural hashing in the
+/// result re-establishes cross-region sharing.
+mig::Mig splice_regions(const mig::Mig& mig, const RegionMembers& regions,
+                        const std::function<const RegionNet*(size_t)>& region);
 
 /// Per-region topological levels: a region's level is one more than the
 /// maximum level of the regions feeding its gates (pure-PI regions at 0).

@@ -238,7 +238,7 @@ mig::Mig rewrite_bottom_up_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
   // structural hashing re-establish cross-region sharing exactly as the
   // sequential DP's shared build did.
   return shard::splice_regions(
-      mig, live_roots, [&](size_t i) -> const shard::RegionNet& { return outcomes[i]; });
+      mig, regions, [&](size_t i) -> const shard::RegionNet* { return &outcomes[i]; });
 }
 
 }  // namespace

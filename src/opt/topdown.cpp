@@ -143,6 +143,7 @@ mig::Mig rebuild_from_plans(const mig::Mig& mig, ReplacementOracle& oracle,
   }
 
   mig::Mig result;
+  result.reserve(mig.num_nodes());
   std::vector<mig::Signal> map(mig.num_nodes(), result.get_constant(false));
   for (uint32_t i = 0; i < mig.num_pis(); ++i) {
     map[1 + i] = result.create_pi();

@@ -152,6 +152,37 @@ TEST(ApiTest, CancelAfterCompletionReturnsFalse) {
   EXPECT_EQ(service.result(id).code, ErrorCode::ok);
 }
 
+TEST(ApiTest, NetworkIsHandedOutOnce) {
+  LocalService service;
+  const JobId id = service.submit(request_for(gen::make_adder_n(4), "size"));
+  const JobResult first = service.result(id);
+  ASSERT_EQ(first.code, ErrorCode::ok) << first.message;
+  EXPECT_FALSE(first.network_blif.empty());
+  EXPECT_TRUE(first.message.empty());
+
+  // The service freed the network; a second call says so instead of
+  // returning a silent ok with an empty network.
+  const JobResult second = service.result(id);
+  EXPECT_EQ(second.code, ErrorCode::ok);
+  EXPECT_TRUE(second.network_blif.empty());
+  EXPECT_NE(second.message.find("already collected"), std::string::npos)
+      << second.message;
+  EXPECT_EQ(second.report.size_after, first.report.size_after);
+  EXPECT_EQ(second.report.passes.size(), first.report.passes.size());
+  EXPECT_EQ(service.status(id).state, JobState::done);
+
+  // A failed job has no network to free: its result repeats unchanged.
+  JobRequest bad;
+  bad.script = "size";
+  bad.network_blif = "not blif";
+  const JobId bad_id = service.submit(bad);
+  const JobResult failed = service.result(bad_id);
+  ASSERT_EQ(failed.code, ErrorCode::invalid_network);
+  const JobResult failed_again = service.result(bad_id);
+  EXPECT_EQ(failed_again.code, failed.code);
+  EXPECT_EQ(failed_again.message, failed.message);
+}
+
 TEST(ApiTest, CancelQueuedAndRunningJobs) {
   LocalService service;  // one worker: the second job must queue
   const JobId running = service.submit(slow_request());

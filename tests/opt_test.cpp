@@ -291,6 +291,8 @@ mig::Mig golden_input(const std::string& network) {
   if (network == "mult6") return algebra::depth_optimize(gen::make_multiplier_n(6));
   if (network == "sine6") return algebra::depth_optimize(gen::make_sine_n(6));
   if (network == "adder10") return gen::make_adder_n(10);
+  if (network == "div8") return algebra::depth_optimize(gen::make_divisor_n(8));
+  if (network == "sqrt8") return algebra::depth_optimize(gen::make_sqrt_n(8));
   throw std::invalid_argument("unknown golden network " + network);
 }
 
@@ -364,6 +366,8 @@ const GoldenRow kGolden[] = {
     {"sine6", "BF", 1027, 65, 0x098198251d2e836full, 1990, 2357},
     {"sine6", "BFD", 1120, 45, 0x6d9363da901f1618ull, 1990, 1833},
     {"sine6", "size", 969, 50, 0xc489d938504ee208ull, 0, 127},
+    {"div8", "size", 918, 95, 0x617448a5b555448bull, 0, 327},
+    {"sqrt8", "size", 606, 73, 0xd31cd1070a4a4687ull, 0, 192},
     {"adder10", "TF5", 122, 11, 0xc230d663223cce1aull, 215, 0},
     {"adder10", "BF5", 122, 12, 0x4ef8137daa5db068ull, 215, 255},
 };
@@ -382,6 +386,38 @@ TEST(GoldenRewriteTest, OutputsArePinnedAtEveryThreadCount) {
       EXPECT_EQ(actual.cuts_evaluated, row.cuts_evaluated);
       EXPECT_EQ(actual.replacements, row.replacements);
     }
+  }
+}
+
+bool structurally_equal(const mig::Mig& a, const mig::Mig& b) {
+  if (a.num_pis() != b.num_pis() || a.num_nodes() != b.num_nodes() ||
+      a.outputs() != b.outputs()) {
+    return false;
+  }
+  for (uint32_t n = 0; n < a.num_nodes(); ++n) {
+    if (a.fanins(n) != b.fanins(n)) return false;
+  }
+  return true;
+}
+
+TEST(SizeOptimizeTest, NetworkWithoutFiringGateComesBackAsItsCleanup) {
+  // The depth-optimized adder has no reverse-distributivity site (its golden
+  // row applies the rule 0 times); a dangling gate makes cleanup() differ
+  // from the input.
+  mig::Mig m = algebra::depth_optimize(gen::make_adder_n(16));
+  const mig::Signal a = mig::Signal(1, false), b = mig::Signal(2, true);
+  m.create_maj(a, b, m.create_and(a, mig::Signal(3, false)));
+  ASSERT_LT(m.count_live_gates(), m.num_gates());
+
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    algebra::SizeOptParams params;
+    params.pool = p;
+    algebra::AlgebraStats stats;
+    const mig::Mig out = algebra::size_optimize(m, params, &stats);
+    EXPECT_EQ(stats.applied_distributivity, 0u);
+    EXPECT_EQ(stats.rounds, 1u);
+    EXPECT_TRUE(structurally_equal(out, m.cleanup()));
   }
 }
 

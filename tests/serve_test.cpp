@@ -168,9 +168,19 @@ TEST(ServeTest, StatusCancelAndErrorsOverTheWire) {
   io::write_blif(blif, gen::make_adder_n(8));
   request.network_blif = blif.str();
   const api::JobId id = client.submit(request);
-  ASSERT_EQ(client.result(id).code, ErrorCode::ok);
+  const api::JobResult first = client.result(id);
+  ASSERT_EQ(first.code, ErrorCode::ok);
+  EXPECT_FALSE(first.network_blif.empty());
   EXPECT_EQ(client.status(id).state, api::JobState::done);
   EXPECT_FALSE(client.cancel(id));
+
+  // The daemon freed the network once it was collected; a second RESULT
+  // keeps code and report and says why the network is empty.
+  const api::JobResult again = client.result(id);
+  EXPECT_EQ(again.code, ErrorCode::ok);
+  EXPECT_TRUE(again.network_blif.empty());
+  EXPECT_NE(again.message.find("already collected"), std::string::npos) << again.message;
+  EXPECT_EQ(again.report.size_after, first.report.size_after);
 
   // Server-side exceptions arrive as coded errors, connection intact.
   try {

@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "cec/cec.hpp"
 #include "gen/arith.hpp"
 #include "mig/algebra/algebra.hpp"
 #include "mig/ffr.hpp"
@@ -126,6 +127,20 @@ TEST(ShardRegionTest, MembersEndWithTheirRoot) {
     total += members.size();
   }
   EXPECT_EQ(total, m.count_live_gates());
+}
+
+TEST(ShardRegionTest, SpliceCopiesUnchangedRegionsFromTheSource) {
+  for (const uint32_t seed : {1u, 7u, 42u}) {
+    const auto m = testutil::random_mig(8, 120, 6, seed);
+    const auto regions = shard::collect_region_members(m, ffr::compute_ffrs(m));
+    const auto out = shard::splice_regions(
+        m, regions, [](size_t) -> const shard::RegionNet* { return nullptr; });
+    // Every live gate is copied once, nothing else is built, and the
+    // function is unchanged.
+    EXPECT_EQ(out.num_gates(), m.count_live_gates()) << seed;
+    EXPECT_EQ(out.count_live_gates(), m.count_live_gates()) << seed;
+    EXPECT_TRUE(cec::random_simulation_equal(m, out, 8, seed)) << seed;
+  }
 }
 
 TEST(ShardRegionTest, LevelsRespectDependencies) {
