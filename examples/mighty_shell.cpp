@@ -112,8 +112,7 @@ void Shell::command(const std::string& line) {
         "  depth_opt | size_opt  algebraic optimization (refs. [3], [4])\n"
         "  fh [variant]          functional hashing (default BF; T/TD/TF/TFD/B/...)\n"
         "  flow <script>         run a flow script, e.g.  TF;(BFD;size)*;map\n"
-        "                        (x*3 repeats, x* iterates to convergence,\n"
-        "                        parallel:4 runs later passes on 4 threads)\n"
+        "                        (x*3 repeats, x* iterates to convergence)\n"
         "  batch <dir|gen> <script>\n"
         "                        run a flow script over a whole corpus (every\n"
         "                        .blif in <dir>, or the built-in generator\n"

@@ -25,9 +25,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
 
   const mighty::exact::Database empty_db;
-  mighty::opt::OracleParams params;
-  params.enable_five_input = true;
-  mighty::opt::ReplacementOracle oracle(empty_db, params);
+  mighty::opt::ReplacementOracle oracle(empty_db);
 
   std::istringstream is(text);
   const auto result = oracle.load_cache(is);

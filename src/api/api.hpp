@@ -111,9 +111,9 @@ class Service {
   virtual ~Service() = default;
 
   /// Enqueues a job.  Throws ScriptError (invalid_script) when the script
-  /// does not parse, Error(invalid_request) when the request is unusable
-  /// (e.g. a session-mutating script on a multi-worker service), and
-  /// Error(shutting_down) after shutdown().  Network parsing is part of the
+  /// does not parse (threads and cache path are session settings, not
+  /// script words), Error(invalid_request) when the request is unusable,
+  /// and Error(shutting_down) after shutdown().  Network parsing is part of the
   /// job: a malformed BLIF fails the job with invalid_network.
   virtual JobId submit(const JobRequest& request) = 0;
 
@@ -156,10 +156,8 @@ class Service {
 /// The in-process implementation: owns one flow::Session and runs each job
 /// as a task on a util::ThreadPool with `job_workers` workers (clamped to
 /// 1..ThreadPool::kMaxParallelism-1).  With the default single worker, jobs
-/// run strictly in submission order and session-mutating scripts
-/// ("parallel:n", "cache:p") are allowed; with more workers such scripts
-/// are rejected at submit (invalid_request) because they would reconfigure
-/// the session under concurrent jobs.
+/// run strictly in submission order.  A script describes only the network:
+/// thread count and cache path belong to `Params::session`, never to a job.
 class LocalService final : public Service {
  public:
   struct Params {

@@ -56,12 +56,6 @@ struct LocalService::Impl {
     if (stopping_) {
       throw Error(ErrorCode::shutting_down, "service is shutting down");
     }
-    if (params_.job_workers > 1 && pipeline.mutates_session()) {
-      throw Error(ErrorCode::invalid_request,
-                  "session directives ('parallel:', 'cache:') require a "
-                  "single-worker service: they reconfigure the engine under "
-                  "every concurrent job");
-    }
     auto job = std::make_shared<Job>();
     job->id = next_id_++;
     job->request = request;

@@ -97,9 +97,7 @@ size_t count_words(const Sequence& sequence) {
 
 /// Minimal recursive-descent parser from script text into the mutation AST.
 /// Accepts exactly the candidate subset of the grammar: words, groups,
-/// '*'-modifiers.  Session directives ("parallel:n", "cache:<path>") are
-/// rejected up front — batch evaluation cannot run them, and the search must
-/// not waste a generation discovering that.
+/// '*'-modifiers.
 class AstParser {
 public:
   explicit AstParser(const std::string& script) : script_(script) {}
@@ -184,11 +182,6 @@ private:
       text += static_cast<char>(
           std::tolower(static_cast<unsigned char>(script_[pos_])));
       ++pos_;
-    }
-    if (pos_ < script_.size() && script_[pos_] == ':') {
-      throw std::invalid_argument(
-          "autotune search space excludes session directives ('" + text +
-          ":...'): configure the session instead");
     }
     if (text.empty()) {
       throw std::invalid_argument("autotune seed script: expected a pass name in \"" +
@@ -562,10 +555,6 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
   // re-emit.  Throws on scripts the grammar rejects.
   const auto canonicalize = [](const std::string& script) {
     const Pipeline pipeline = Pipeline::parse(script);
-    if (pipeline.mutates_session()) {
-      throw std::invalid_argument(
-          "autotune candidates must not contain session directives: " + script);
-    }
     if (pipeline.empty()) {
       throw std::invalid_argument("autotune candidate is empty: " + script);
     }
@@ -634,6 +623,7 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
   std::vector<Candidate> pool;
   for (const auto& seed : seeds) {
     Candidate candidate;
+    Pipeline::parse(seed);  // a bad seed fails with the grammar's own error
     candidate.ast = AstParser(seed).parse();
     candidate.canonical = canonicalize(render(candidate.ast, params_.full_round_cap));
     if (!seen.insert(candidate.canonical).second) continue;

@@ -91,8 +91,7 @@ struct TuneParams {
   /// plus size and depth, extended by five_input_words).
   std::vector<std::string> vocabulary;
   /// Seed scripts; empty selects the paper's flows (always including
-  /// kBaselineScript).  Must parse and must not contain session directives
-  /// ("parallel:n", "cache:<path>") — batch evaluation rejects those.
+  /// kBaselineScript).  Each must parse (Pipeline::parse).
   std::vector<std::string> seed_scripts;
 };
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <exception>
 #include <functional>
-#include <stdexcept>
 
 #include "flow/session.hpp"
 #include "util/clock.hpp"
@@ -13,17 +12,6 @@ namespace mighty::flow {
 
 std::vector<mig::Mig> BatchRunner::run(const Corpus& corpus, const Pipeline& pipeline,
                                        BatchReport* report) {
-  // Session directives ('parallel:n', 'cache:<path>') reconfigure the
-  // session mid-flight: parallel:n tears down the very pool the batch is
-  // running on, and cache:<path> would merge into the oracle while every
-  // network hammers it.  Group passes answer for their bodies, so the check
-  // reaches any nesting depth.
-  if (pipeline.mutates_session()) {
-    throw std::invalid_argument(
-        "batch pipelines must not contain a session directive ('parallel:n', "
-        "'cache:<path>'); configure the session before the run");
-  }
-
   BatchReport local;
   BatchReport& out = report != nullptr ? (*report = BatchReport{}, *report) : local;
 

@@ -98,12 +98,9 @@ public:
   /// pool; at parallelism 1 the pool runs each task inline, so networks run
   /// to completion in corpus order — the results are bit-identical either
   /// way.  When `report` is given it is reset and filled with per-network
-  /// reports and the corpus roll-up.
-  ///
-  /// Throws std::invalid_argument if the pipeline contains a "parallel:n"
-  /// directive: that knob rebuilds the session's pool, which must not
-  /// happen while batch tasks run on it — set Session::set_threads (or the
-  /// session params) before the batch instead.
+  /// reports and the corpus roll-up.  Thread count and cache path are the
+  /// session's (Session::set_threads, Session::set_cache_path), set before
+  /// the run.
   std::vector<mig::Mig> run(const Corpus& corpus, const Pipeline& pipeline,
                             BatchReport* report = nullptr);
 

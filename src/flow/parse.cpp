@@ -4,15 +4,13 @@
 
 #include "api/error.hpp"
 #include "flow/pipeline.hpp"
-#include "util/thread_pool.hpp"
 
 /// Recursive-descent parser for the flow-script grammar (see pipeline.hpp):
 ///
 ///   sequence := item (';' item)*
 ///   item     := atom ['*' count | '*' '<' count | '*']
 ///   atom     := '(' sequence ')' | word
-///   word     := variant acronym | size | depth | map[k] | parallel[:]n
-///             | cache:path | check
+///   word     := variant acronym | size | depth | map[k] | check
 ///
 /// Case-insensitive; whitespace between tokens is insignificant (a token
 /// itself cannot be split: "ma p" is not "map"); empty items ("TF;;BF",
@@ -134,38 +132,6 @@ private:
     if (text == "size") return result.size_opt(), result;
     if (text == "depth") return result.depth_opt(), result;
     if (text == "check") return result.check(), result;
-    if (text == "parallel") {
-      // "parallel:n" (the canonical form emitted by to_string) or "paralleln".
-      consume(':');
-      skip_space();
-      if (pos_ >= script_.size() ||
-          !std::isdigit(static_cast<unsigned char>(script_[pos_]))) {
-        fail("expected a thread count after 'parallel'");
-      }
-      const uint32_t threads = integer();
-      if (threads == 0 || threads > util::ThreadPool::kMaxParallelism) {
-        fail_at(int_start_, "thread count out of range in 'parallel:" +
-                                std::to_string(threads) + "'");
-      }
-      return result.add(make_parallel_pass(threads)), result;
-    }
-    if (text == "cache") {
-      // "cache:<path>" attaches the persistent 5-input oracle cache.  The
-      // path runs to the next whitespace, ';', ')' or '*' and keeps its
-      // case ('*' stays a repeat suffix, as for every other word — it must
-      // not be swallowed into the filename).
-      if (!consume(':')) fail("expected ':<path>' after 'cache'");
-      skip_space();
-      std::string path;
-      while (pos_ < script_.size() && script_[pos_] != ';' && script_[pos_] != ')' &&
-             script_[pos_] != '*' &&
-             !std::isspace(static_cast<unsigned char>(script_[pos_]))) {
-        path += script_[pos_];
-        ++pos_;
-      }
-      if (path.empty()) fail("expected a file path after 'cache:'");
-      return result.add(make_cache_pass(std::move(path))), result;
-    }
     if (text == "map") {
       map::MapParams params;
       if (pos_ < script_.size() &&

@@ -120,12 +120,6 @@ public:
   /// Composite passes answer for their bodies.
   virtual bool uses_oracle() const { return false; }
 
-  /// True when the pass reconfigures the session rather than transforming
-  /// the network (the "parallel:n" and "cache:<path>" directives).  Such
-  /// passes are rejected inside batch runs, where rebuilding the session's
-  /// pool mid-flight would destroy the workers the batch is running on.
-  virtual bool mutates_session() const { return false; }
-
   virtual std::unique_ptr<Pass> clone() const = 0;
 };
 
@@ -137,15 +131,6 @@ std::unique_ptr<Pass> make_size_pass(const algebra::SizeOptParams& params = {});
 std::unique_ptr<Pass> make_depth_pass(const algebra::DepthOptParams& params = {});
 /// k-LUT mapping; records LUT count and LUT depth, returns the MIG unchanged.
 std::unique_ptr<Pass> make_lut_map_pass(const map::MapParams& params = {});
-/// Execution directive: sets the session's parallelism for every subsequent
-/// pass (script form "parallel:n").  Returns the network unchanged and adds
-/// no trajectory entry — it transforms the engine, not the MIG.
-std::unique_ptr<Pass> make_parallel_pass(uint32_t threads);
-/// Session directive: points the session at a persistent 5-input oracle
-/// cache (script form "cache:<path>") — the file is merged into the oracle
-/// and written back on save/autosave.  Returns the network unchanged and
-/// adds no trajectory entry.
-std::unique_ptr<Pass> make_cache_pass(std::string path);
 
 /// The "check" script word: full invariant validation of the current network
 /// (check::validate_at at full level), throwing std::logic_error with the

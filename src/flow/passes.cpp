@@ -153,60 +153,6 @@ private:
   map::MapParams params_;
 };
 
-/// Execution directive: "parallel:n" adjusts the session's thread count and
-/// leaves both the network and the trajectory untouched.
-class ParallelPass final : public Pass {
-public:
-  explicit ParallelPass(uint32_t threads) : threads_(threads) {}
-
-  std::string name() const override {
-    return "parallel:" + std::to_string(threads_);
-  }
-
-  mig::Mig run(const mig::Mig& mig, Session& session, FlowReport&) const override {
-    session.set_threads(threads_);
-    return mig;
-  }
-
-  bool mutates_session() const override { return true; }
-
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<ParallelPass>(threads_);
-  }
-
-private:
-  uint32_t threads_;
-};
-
-/// Session directive: "cache:<path>" attaches the persistent 5-input oracle
-/// cache.  Like ParallelPass it reconfigures the session, not the network.
-class CachePass final : public Pass {
-public:
-  explicit CachePass(std::string path) : path_(std::move(path)) {}
-
-  std::string name() const override { return "cache:" + path_; }
-
-  mig::Mig run(const mig::Mig& mig, Session& session, FlowReport&) const override {
-    // Attach once: inside a repeated pipeline the path is unchanged after
-    // the first round, and the file must not be re-parsed every iteration.
-    if (session.cache_path() != path_) {
-      session.set_cache_path(path_);
-      // A live oracle merges now; a lazy one merges when it materializes.
-      if (session.oracle_if_created() != nullptr) session.load_cache();
-    }
-    return mig;
-  }
-
-  bool mutates_session() const override { return true; }
-
-  std::unique_ptr<Pass> clone() const override {
-    return std::make_unique<CachePass>(path_);
-  }
-
-private:
-  std::string path_;
-};
-
 /// Explicit validation point: the "check" script word runs the full
 /// invariant suite on the current network no matter what the session's
 /// between-pass level is, so scripts can assert well-formedness exactly
@@ -264,14 +210,6 @@ std::unique_ptr<Pass> make_depth_pass(const algebra::DepthOptParams& params) {
 
 std::unique_ptr<Pass> make_lut_map_pass(const map::MapParams& params) {
   return std::make_unique<LutMapPass>(params);
-}
-
-std::unique_ptr<Pass> make_parallel_pass(uint32_t threads) {
-  return std::make_unique<ParallelPass>(threads == 0 ? 1 : threads);
-}
-
-std::unique_ptr<Pass> make_cache_pass(std::string path) {
-  return std::make_unique<CachePass>(std::move(path));
 }
 
 std::unique_ptr<Pass> make_check_pass() {

@@ -62,7 +62,6 @@ public:
   explicit GroupPass(Pipeline body) : body_(std::move(body)) {}
 
   bool uses_oracle() const override { return body_.uses_oracle(); }
-  bool mutates_session() const override { return body_.mutates_session(); }
 
 protected:
   /// Body in script form, parenthesized whenever it is not a single plain
@@ -194,14 +193,6 @@ Pipeline& Pipeline::lut_map(const map::MapParams& params) {
   return add(make_lut_map_pass(params));
 }
 
-Pipeline& Pipeline::parallel(uint32_t threads) {
-  return add(make_parallel_pass(threads));
-}
-
-Pipeline& Pipeline::cache(std::string path) {
-  return add(make_cache_pass(std::move(path)));
-}
-
 Pipeline& Pipeline::check() {
   return add(make_check_pass());
 }
@@ -283,13 +274,6 @@ mig::Mig Pipeline::run_into(const mig::Mig& mig, Session& session,
 bool Pipeline::uses_oracle() const {
   for (const auto& pass : passes_) {
     if (pass->uses_oracle()) return true;
-  }
-  return false;
-}
-
-bool Pipeline::mutates_session() const {
-  for (const auto& pass : passes_) {
-    if (pass->mutates_session()) return true;
   }
   return false;
 }

@@ -38,8 +38,6 @@
 ///             | variant '5'                 -- 5-input-cut extension (TF5, ...)
 ///             | size | depth                -- algebraic optimization
 ///             | map[k]                      -- k-LUT mapping, default k=6
-///             | parallel:n                  -- run later passes on n threads
-///             | cache:path                  -- persistent 5-input oracle cache
 ///             | check                       -- full invariant validation
 
 namespace mighty::flow {
@@ -72,11 +70,6 @@ public:
   Pipeline& depth_opt(const algebra::DepthOptParams& params = {});
   /// Appends a k-LUT mapping (analysis) pass.
   Pipeline& lut_map(const map::MapParams& params = {});
-  /// Appends a "parallel:n" directive: later passes run on n threads.
-  Pipeline& parallel(uint32_t threads);
-  /// Appends a "cache:<path>" directive: attaches the session's persistent
-  /// 5-input oracle cache before later passes run.
-  Pipeline& cache(std::string path);
   /// Appends a "check" pass: full invariant validation of the current
   /// network (check::validate_at full level, regardless of the session's
   /// check level), throwing std::logic_error on the first violation.
@@ -133,8 +126,6 @@ public:
 
   /// True when any pass (at any nesting depth) may query the session oracle.
   bool uses_oracle() const;
-  /// True when any pass (at any nesting depth) reconfigures the session.
-  bool mutates_session() const;
 
   /// Canonical script form; parse(p.to_script()) is structurally identical
   /// to p (the round trip is what deduplication, reporting and reproducing a

@@ -44,10 +44,10 @@ struct SessionParams {
   exact::SynthesisOptions synthesis;
   /// Configuration of the shared replacement oracle.  These params govern
   /// every rewrite pass run on the session: all of them query this one
-  /// oracle, 5-input passes included.  Five-input synthesis is enabled by
-  /// default: passes that never enumerate 5-cuts never query it, and passes
-  /// that do share one cache (and one conflict budget) for the whole session.
-  opt::OracleParams oracle{.enable_five_input = true};
+  /// oracle, 5-input passes included.  Passes that never enumerate 5-cuts
+  /// never reach 5-input synthesis, and passes that do share one cache (and
+  /// one conflict budget) for the whole session.
+  opt::OracleParams oracle;
   /// On-disk location of the persistent 5-input oracle cache; empty turns
   /// persistence off.  When set, the file is merged into the oracle when it
   /// materializes, and the cache is written back by Session::save_cache(),
@@ -55,8 +55,8 @@ struct SessionParams {
   /// so a later process warm-starts where this one left off.
   std::string oracle_cache_path;
   /// Parallelism for shard-parallel passes (1 = everything inline).  The
-  /// sharded FFR passes produce bit-identical networks for every value; the
-  /// script token "parallel:n" and Session::set_threads() change it later.
+  /// sharded FFR passes produce bit-identical networks for every value;
+  /// Session::set_threads() changes it later.
   uint32_t threads = 1;
 };
 
@@ -101,8 +101,8 @@ public:
   /// Location of the on-disk oracle cache; empty = persistence off.
   const std::string& cache_path() const { return params_.oracle_cache_path; }
 
-  /// Points the session at an on-disk oracle cache (the `cache:<path>`
-  /// script directive and the shell's `cache` command land here).  Records
+  /// Points the session at an on-disk oracle cache (the shell's `cache`
+  /// command and the daemon's `--cache` flag land here).  Records
   /// the path without touching the disk: the file is merged when the oracle
   /// materializes, or immediately via load_cache().  An empty path turns
   /// persistence (and destructor autosave) off.

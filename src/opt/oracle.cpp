@@ -178,7 +178,7 @@ std::optional<ReplacementOracle::Info> ReplacementOracle::query(const tt::TruthT
     return info;
   }
 
-  if (!params_.enable_five_input || f.num_vars() > 5) return std::nullopt;
+  if (f.num_vars() > 5) return std::nullopt;
   const auto* chain = five_input_chain(f.extend(5), tally);
   if (chain == nullptr) return std::nullopt;
   info.size = chain->size();
@@ -281,6 +281,10 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
     } else if (status == "fail") {
       std::string extra;
       if (ls >> extra) return malformed;  // trailing garbage
+      // A failure is recorded under -1 ("proved absent") or the finite limit
+      // that ran out; any other negative budget would rank as -1 and freeze
+      // the class unanswered for good.
+      if (entry.budget < -1) return malformed;
     } else {
       return malformed;
     }

@@ -84,8 +84,6 @@ struct OracleTally {
 };
 
 struct OracleParams {
-  /// Allow on-demand 5-input synthesis (otherwise only the 4-input database).
-  bool enable_five_input = false;
   /// Conflict budget per synthesis decision problem.
   int64_t synthesis_conflict_limit = 20000;
   /// Gate bound for on-demand synthesis ("only useful if smaller than the

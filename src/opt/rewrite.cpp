@@ -36,24 +36,13 @@ mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
   local.oracle_cache5_hits = tally.cache5_hits.load(std::memory_order_relaxed);
   local.oracle_synthesized = tally.synthesized.load(std::memory_order_relaxed);
   local.oracle_failures = tally.failures.load(std::memory_order_relaxed);
-  if (params.tally != nullptr) {
-    params.tally->queries.fetch_add(local.oracle_queries, std::memory_order_relaxed);
-    params.tally->answered.fetch_add(local.oracle_answered, std::memory_order_relaxed);
-    params.tally->cache5_hits.fetch_add(local.oracle_cache5_hits,
-                                        std::memory_order_relaxed);
-    params.tally->synthesized.fetch_add(local.oracle_synthesized,
-                                        std::memory_order_relaxed);
-    params.tally->failures.fetch_add(local.oracle_failures, std::memory_order_relaxed);
-  }
   if (stats != nullptr) *stats = local;
   return result;
 }
 
 mig::Mig functional_hashing(const mig::Mig& mig, const exact::Database& db,
                             const RewriteParams& params, RewriteStats* stats) {
-  OracleParams oracle_params;
-  oracle_params.enable_five_input = params.five_input_cuts;
-  ReplacementOracle oracle(db, oracle_params);
+  ReplacementOracle oracle(db);
   return functional_hashing(mig, oracle, params, stats);
 }
 
@@ -94,9 +83,7 @@ std::vector<std::string> all_variants() {
 
 cuts::CutEnumerationParams cut_params_for(const RewriteParams& params) {
   cuts::CutEnumerationParams cut_params;
-  cut_params.cut_size =
-      params.five_input_cuts ? std::max(params.cut_size, 5u) : params.cut_size;
-  cut_params.max_cuts = params.max_cuts;
+  cut_params.cut_size = params.five_input_cuts ? 5 : 4;
   return cut_params;
 }
 

@@ -39,9 +39,6 @@ struct RewriteParams {
   /// Depth-preserving heuristic: discard replacements that locally increase
   /// the node's level (paper Sec. IV-A).
   bool depth_preserving = false;
-  uint32_t cut_size = 4;
-  /// Cap on stored cuts per node (0 = exhaustive).
-  uint32_t max_cuts = 0;
   /// Bottom-up: number of candidates kept per node (paper: "a predetermined
   /// number of best candidates, similar to priority cuts").
   uint32_t max_candidates = 2;
@@ -50,8 +47,7 @@ struct RewriteParams {
   /// Extension discussed in the paper (Sec. IV, ref. [9]): also rewrite
   /// 5-input cuts, with minimum structures synthesized on demand and cached
   /// (the full 5-variable NPN enumeration being impractical).  The oracle's
-  /// OracleParams decide whether and within which budget 5-input cuts get
-  /// answers.
+  /// OracleParams decide within which budget 5-input cuts get answers.
   bool five_input_cuts = false;
   /// Worker pool for the fanout-free-region variants: their per-region
   /// analysis (cut enumeration, simulation, oracle queries, candidate
@@ -60,9 +56,9 @@ struct RewriteParams {
   /// any pool size, including none.  Global variants ignore the pool (their
   /// cuts cross region boundaries and serialize).  Not owned.
   util::ThreadPool* pool = nullptr;
-  /// Per-call oracle accounting sink.  functional_hashing() installs its own
-  /// when none is given, and reports the result through RewriteStats; set it
-  /// only to aggregate several calls into one tally.  Not owned.
+  /// Per-call oracle accounting sink of the drivers.  functional_hashing()
+  /// installs its own and reports the result through RewriteStats.  Not
+  /// owned.
   OracleTally* tally = nullptr;
 };
 
@@ -92,8 +88,8 @@ mig::Mig functional_hashing(const mig::Mig& mig, ReplacementOracle& oracle,
                             const RewriteParams& params = {},
                             RewriteStats* stats = nullptr);
 
-/// Single-shot convenience overload: builds a private oracle per call, with
-/// 5-input answers iff `params.five_input_cuts` and default OracleParams else.
+/// Single-shot convenience overload: builds a private oracle per call with
+/// default OracleParams.
 /// Deprecated shim for pre-`flow` callers — nothing is shared between calls,
 /// so iterated flows pay the oracle warm-up every pass.
 mig::Mig functional_hashing(const mig::Mig& mig, const exact::Database& db,
@@ -110,8 +106,8 @@ std::vector<std::string> all_variants();
 
 // --- shared internals (exposed for the two drivers and for tests) -----------
 
-/// Cut enumeration settings of a pass: `cut_size` (at least 5 with
-/// `five_input_cuts`) and `max_cuts`.
+/// Cut enumeration settings of a pass: 4-input cuts, 5-input with
+/// `five_input_cuts`, every cut kept.
 cuts::CutEnumerationParams cut_params_for(const RewriteParams& params);
 
 /// Gates in the cone of (root, leaves), root included, leaves excluded.

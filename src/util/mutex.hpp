@@ -30,10 +30,11 @@
 ///    rank A records the edge A->B, and an acquisition that would close a
 ///    cycle (a lock-order inversion — deadlock potential, even if this run
 ///    never deadlocks) aborts via MIGHTY_ASSERT naming both ranks.  The
-///    checker compiles out under NDEBUG / MIGHTY_UNCHECKED, and disables
-///    itself under ThreadSanitizer: its internal graph lock would add
+///    checker compiles out under NDEBUG / MIGHTY_UNCHECKED, and is off
+///    under ThreadSanitizer: its internal graph lock would add
 ///    happens-before edges between unrelated threads and mask real races
-///    from the TSan CI leg.
+///    from the TSan CI leg.  The build decides once, for the library and
+///    every consumer (see MIGHTY_LOCK_ORDER_CHECKS below).
 ///
 /// Scoped wrappers replace std::lock_guard/unique_lock/shared_lock:
 /// `MutexLock` (exclusive, relockable, works with CondVar), `WriterLock`
@@ -71,22 +72,14 @@ enum class LockRank : uint8_t {
 /// Human-readable rank name for diagnostics.
 const char* lock_rank_name(LockRank rank);
 
-// The runtime lock-order checker is a Debug facility: NDEBUG and
-// MIGHTY_UNCHECKED compile it out, and ThreadSanitizer builds disable it so
-// the checker's own synchronization cannot hide races from TSan.
-#if defined(__SANITIZE_THREAD__)
-#define MIGHTY_LOCK_ORDER_CHECKS 0
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MIGHTY_LOCK_ORDER_CHECKS 0
-#endif
-#endif
+// Whether the runtime lock-order checker is on changes Mutex's layout (the
+// owner_ field), so it is the library's choice, not each includer's: the
+// `mighty` CMake target decides it once and exports it as a PUBLIC
+// definition (on without NDEBUG; off under NDEBUG, MIGHTY_UNCHECKED and
+// ThreadSanitizer, whose race reports the checker's own locking would
+// mask).  A file compiled outside that target sees the checker off.
 #if !defined(MIGHTY_LOCK_ORDER_CHECKS)
-#if !defined(NDEBUG) && !defined(MIGHTY_UNCHECKED)
-#define MIGHTY_LOCK_ORDER_CHECKS 1
-#else
 #define MIGHTY_LOCK_ORDER_CHECKS 0
-#endif
 #endif
 
 namespace lock_order {

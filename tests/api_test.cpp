@@ -285,22 +285,23 @@ TEST(ApiTest, ShutdownFinishesQueuedJobsOnMultiWorkerService) {
   EXPECT_EQ(stats.running, 0u);
 }
 
-TEST(ApiTest, MutatingScriptsRejectedOnMultiWorkerService) {
-  LocalService::Params params;
-  params.job_workers = 2;
-  LocalService service(params);
-  try {
-    service.submit(request_for(gen::make_adder_n(4), "parallel:2; size"));
-    FAIL() << "multi-worker service accepted a session-mutating script";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::invalid_request);
+TEST(ApiTest, SessionSettingsAreInvalidScriptsAtAnyWorkerCount) {
+  // A job cannot reconfigure the service's session: thread count and cache
+  // path are Params::session's, and the script words are unknown passes.
+  for (const uint32_t workers : {1u, 2u}) {
+    LocalService::Params params;
+    params.job_workers = workers;
+    LocalService service(params);
+    for (const char* script : {"parallel:2; size", "cache:/x; TF"}) {
+      try {
+        service.submit(request_for(gen::make_adder_n(4), script));
+        ADD_FAILURE() << workers << " worker(s) accepted " << script;
+      } catch (const CodedError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::invalid_script) << script;
+      }
+    }
+    EXPECT_EQ(service.stats().submitted, 0u);
   }
-  // The same script is fine on the default single-worker service.
-  LocalService single;
-  EXPECT_EQ(single.result(single.submit(
-                    request_for(gen::make_adder_n(4), "parallel:2; size")))
-                .code,
-            ErrorCode::ok);
 }
 
 TEST(ApiTest, ConcurrentJobsOnMultiWorkerService) {
@@ -371,9 +372,7 @@ TEST(ApiTest, OracleSaveIsIdempotentOnCleanCache) {
   for (const char* text : {"mighty-mig-5cut-cache v1 1\ndeadbeef fail 300 42\n",
                            "mighty-mig-5cut-cache v2 1\n0006215a fail 300 42\n"}) {
     const exact::Database empty_db;
-    opt::OracleParams params;
-    params.enable_five_input = true;
-    opt::ReplacementOracle oracle(empty_db, params);
+    opt::ReplacementOracle oracle(empty_db);
     std::istringstream cache(text);
     const auto loaded = oracle.load_cache(cache);
     ASSERT_EQ(loaded.status, opt::ReplacementOracle::CacheLoadStatus::loaded) << text;

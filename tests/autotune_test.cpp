@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "api/error.hpp"
 #include "flow/flow.hpp"
 #include "gen/arith.hpp"
 #include "io/io.hpp"
@@ -70,12 +71,12 @@ TEST(AutotuneTest, RejectsMalformedInputs) {
   EXPECT_THROW(Autotuner(session, bad_seed).tune(small_corpus()),
                std::invalid_argument);
 
-  // Session directives reconfigure the engine mid-batch; the search space
-  // excludes them up front rather than failing a generation in.
-  TuneParams directive_seed = small_params();
-  directive_seed.seed_scripts = {"parallel:2;TF"};
-  EXPECT_THROW(Autotuner(session, directive_seed).tune(small_corpus()),
-               std::invalid_argument);
+  // Session settings are not script words: a seed naming one fails with
+  // the grammar's own error, before any evaluation.
+  TuneParams settings_seed = small_params();
+  settings_seed.seed_scripts = {"parallel:2;TF"};
+  EXPECT_THROW(Autotuner(session, settings_seed).tune(small_corpus()),
+               api::ScriptError);
 
   TuneParams bad_vocabulary = small_params();
   bad_vocabulary.vocabulary = {"TF", "frob"};

@@ -208,18 +208,6 @@ TEST(BatchFlowTest, ReportTotalsEqualSumOfNetworkReports) {
 
 // --- scheduling-surface edges ------------------------------------------------
 
-TEST(BatchFlowTest, RejectsParallelDirectiveInPipelines) {
-  auto session = make_session(2);
-  BatchRunner runner(session);
-  Corpus corpus;
-  corpus.add("tiny", testutil::random_mig(4, 20, 2, 11));
-  EXPECT_THROW(runner.run(corpus, Pipeline::parse("TF;parallel:2")),
-               std::invalid_argument);
-  // Nested inside a combinator too: the scan is recursive via to_string().
-  EXPECT_THROW(runner.run(corpus, Pipeline::parse("(TF;parallel:2)*2")),
-               std::invalid_argument);
-}
-
 /// A pass that fails on one specific network (identified by PI count).
 class ExplodingPass final : public Pass {
 public:

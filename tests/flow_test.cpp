@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "api/error.hpp"
 #include "cec/cec.hpp"
 #include "gen/arith.hpp"
 #include "io/io.hpp"
@@ -125,7 +126,6 @@ TEST(FlowParseTest, RejectsCountsThatOverflowUint32) {
   // A thousand digits must neither overflow the accumulator nor crash.
   EXPECT_THROW(Pipeline::parse("TF*1" + std::string(1000, '0')),
                std::invalid_argument);
-  EXPECT_THROW(Pipeline::parse("parallel:4294967296"), std::invalid_argument);
   EXPECT_THROW(Pipeline::parse("map4294967296"), std::invalid_argument);
   try {
     Pipeline::parse("TF*4294967296");
@@ -148,7 +148,6 @@ TEST(FlowParseTest, ErrorPositionsPointAtTheTokenStart) {
   EXPECT_EQ(error_position("TF*4294967296"), 3u);
   EXPECT_EQ(error_position("  TF * 4294967296 ; BF"), 7u);
   EXPECT_EQ(error_position("map99"), 3u);
-  EXPECT_EQ(error_position("parallel:0"), 9u);
   // Structural errors: at the offending character.
   EXPECT_EQ(error_position("TF)"), 2u);
   EXPECT_EQ(error_position("TF  )"), 4u);
@@ -164,12 +163,10 @@ TEST(FlowParseTest, ToScriptRoundTripsEveryProduction) {
            "TF5", "BFD5",                                   // 5-cut extensions
            "size", "depth",                                 // algebraic
            "map", "map4", "map16",                          // mapping
-           "parallel:1", "parallel:8",                      // session directives
-           "cache:/tmp/c5.db", "cache:rel/Mixed.Case",      //
            "TF*3", "TF*", "TF*<2",                          // modifiers
            "(TF;size)*", "(BFD;size)*2", "(BF;size)*<4",    // groups
            "((T;B)*2;size)*3", "(TF;(BFD;size)*<3)*",       // nesting
-           "parallel:2;cache:/tmp/x;TF5;(BFD;size)*<3;map8;depth*2",
+           "TF5;(BFD;size)*<3;map8;depth*2",
        }) {
     const Pipeline first = Pipeline::parse(script);
     const std::string canonical = first.to_script();
@@ -255,20 +252,25 @@ TEST(FlowSessionTest, FiveInputPassesRunOnTheSessionOracle) {
 
 // --- persistent oracle cache through the flow layer --------------------------
 
-TEST(FlowParseTest, CacheDirectiveParsesAndRoundTrips) {
-  const auto p = Pipeline::parse("cache:/tmp/c5.db; TF5; size");
-  EXPECT_EQ(p.num_passes(), 3u);
-  EXPECT_EQ(p.to_string(), "cache:/tmp/c5.db;TF5;size");
-  EXPECT_TRUE(p.mutates_session());
-  // The path keeps its case even though pass words are case-insensitive.
-  EXPECT_EQ(Pipeline::parse("CACHE:/tmp/MixedCase.db").to_string(),
-            "cache:/tmp/MixedCase.db");
-  EXPECT_THROW(Pipeline::parse("cache"), std::invalid_argument);
-  EXPECT_THROW(Pipeline::parse("cache:"), std::invalid_argument);
-  EXPECT_THROW(Pipeline::parse("cache:;TF"), std::invalid_argument);
-  // '*' is a repeat suffix, never part of the filename.
-  EXPECT_EQ(Pipeline::parse("cache:/tmp/x*2").to_string(), "cache:/tmp/x*2");
-  EXPECT_EQ(Pipeline::parse("cache:/tmp/x*2").num_passes(), 1u);  // a repeat group
+TEST(FlowParseTest, SessionSettingsAreNotScriptWords) {
+  // Thread count and cache path belong to the session (set_threads,
+  // set_cache_path); a script naming them is an unknown pass.
+  for (const auto& [script, word] : std::vector<std::pair<std::string, std::string>>{
+           {"parallel:2", "parallel"},
+           {"parallel4", "parallel"},
+           {"cache:/x", "cache"},
+           {"TF; cache:/tmp/c5.db; size", "cache"},
+       }) {
+    try {
+      Pipeline::parse(script);
+      ADD_FAILURE() << "accepted " << script;
+    } catch (const api::ScriptError& e) {
+      EXPECT_EQ(e.code(), api::ErrorCode::invalid_script);
+      EXPECT_NE(std::string(e.what()).find("unknown pass \"" + word + '"'),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FlowSessionTest, SetCachePathRecordsWithoutMerging) {
@@ -339,7 +341,7 @@ TEST(FlowSessionTest, CachePersistsAcrossSessions) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(FlowSessionTest, CacheDirectiveAttachesMidFlow) {
+TEST(FlowSessionTest, CachePathSetOnTheSessionPersistsTheFlow) {
   const auto dir = std::filesystem::temp_directory_path() / "mighty_flow_cache_dir";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -348,8 +350,8 @@ TEST(FlowSessionTest, CacheDirectiveAttachesMidFlow) {
   auto session = make_session();
   EXPECT_TRUE(session.cache_path().empty());
   const auto network = algebra::depth_optimize(gen::make_adder_n(8));
-  Pipeline::parse("cache:" + path + ";TF5").run(network, session);
-  EXPECT_EQ(session.cache_path(), path);
+  session.set_cache_path(path);
+  Pipeline::parse("TF5").run(network, session);
   EXPECT_GT(session.save_cache(), 0u);
   EXPECT_TRUE(std::filesystem::exists(path));
   // Second save with nothing new: dirty tracking skips the write.
@@ -381,7 +383,7 @@ TEST(FlowSessionTest, MalformedCacheFileIsIgnoredNotFatal) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(FlowBatchTest, BatchRejectsCacheDirectiveAndSavesOncePerBatch) {
+TEST(FlowBatchTest, BatchSavesTheCacheOncePerBatch) {
   const auto dir = std::filesystem::temp_directory_path() / "mighty_batch_cache";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -392,12 +394,9 @@ TEST(FlowBatchTest, BatchRejectsCacheDirectiveAndSavesOncePerBatch) {
   corpus.add("b", algebra::depth_optimize(gen::make_adder_n(8)));
 
   auto session = make_session();
-  // Session directives are rejected inside batch pipelines...
-  EXPECT_THROW(BatchRunner(session).run(corpus, Pipeline::parse("cache:" + path + ";TF")),
-               std::invalid_argument);
-  // ...the session-level path is the supported route; the runner saves once,
-  // after the concurrent part of the batch has quiesced (threads=2 runs the
-  // real two-level scheduler over the shared, persistable oracle).
+  // The runner saves once, after the concurrent part of the batch has
+  // quiesced (threads=2 runs the real two-level scheduler over the shared,
+  // persistable oracle).
   session.set_cache_path(path);
   session.set_threads(2);
   BatchReport report;

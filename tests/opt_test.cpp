@@ -313,9 +313,7 @@ GoldenRow run_golden(const GoldenRow& row, util::ThreadPool* pool) {
     auto params = variant_params(five ? pass.substr(0, pass.size() - 1) : pass);
     params.five_input_cuts = five;
     params.pool = pool;
-    OracleParams oracle_params;
-    oracle_params.enable_five_input = five;
-    ReplacementOracle oracle(db(), oracle_params);
+    ReplacementOracle oracle(db());
     RewriteStats stats;
     out = functional_hashing(input, oracle, params, &stats);
     actual.cuts_evaluated = stats.cuts_evaluated;

@@ -71,18 +71,8 @@ TEST(OracleTest, SmallSupportShrinksToDatabase) {
   EXPECT_EQ(mig::output_truth_tables(m)[0], f);
 }
 
-TEST(OracleTest, FiveInputDisabledByDefault) {
-  ReplacementOracle oracle(db());
-  // Full 5-variable support: majority of five.
-  tt::TruthTable maj5(5);
-  for (uint32_t m = 0; m < 32; ++m) maj5.set_bit(m, __builtin_popcount(m) >= 3);
-  EXPECT_FALSE(oracle.query(maj5).has_value());
-}
-
 TEST(OracleTest, FiveInputSynthesisOnDemand) {
-  OracleParams params;
-  params.enable_five_input = true;
-  ReplacementOracle oracle(db(), params);
+  ReplacementOracle oracle(db());
 
   tt::TruthTable maj5(5);
   for (uint32_t m = 0; m < 32; ++m) maj5.set_bit(m, __builtin_popcount(m) >= 3);
@@ -107,9 +97,7 @@ TEST(OracleTest, FiveInputStructuredFunctionsRoundTrip) {
   // Structured functions, the kind real cuts produce (random 5-variable
   // functions need ~10+ gates and routinely exhaust the synthesis budget,
   // which the oracle reports as "no replacement" -- see the next test).
-  OracleParams params;
-  params.enable_five_input = true;
-  ReplacementOracle oracle(db(), params);
+  ReplacementOracle oracle(db());
   const auto x = [](uint32_t v) { return tt::TruthTable::projection(5, v); };
   const std::vector<tt::TruthTable> functions = {
       x(0) & x(1) & x(2) & x(3) & x(4),                       // and5
@@ -131,7 +119,6 @@ TEST(OracleTest, FiveInputStructuredFunctionsRoundTrip) {
 
 TEST(OracleTest, BudgetExhaustionIsReportedAsNoReplacement) {
   OracleParams params;
-  params.enable_five_input = true;
   params.synthesis_conflict_limit = 1;  // starve the solver
   params.max_gates = 12;
   ReplacementOracle oracle(db(), params);
@@ -167,12 +154,10 @@ std::vector<tt::TruthTable> structured_five_input_functions() {
 TEST(OracleCacheTest, SaveLoadRoundTripServesWithoutSynthesis) {
   ScratchDir scratch("mighty_oracle_roundtrip");
   const auto path = (scratch.dir / "c5.db").string();
-  OracleParams params;
-  params.enable_five_input = true;
 
   std::vector<ReplacementOracle::Info> expected;
   {
-    ReplacementOracle oracle(db(), params);
+    ReplacementOracle oracle(db());
     for (const auto& f : structured_five_input_functions()) {
       const auto info = oracle.query(f);
       ASSERT_TRUE(info.has_value());
@@ -186,7 +171,7 @@ TEST(OracleCacheTest, SaveLoadRoundTripServesWithoutSynthesis) {
   }
 
   // A process-equivalent fresh oracle: only the file is shared.
-  ReplacementOracle oracle(db(), params);
+  ReplacementOracle oracle(db());
   const auto loaded = oracle.load_cache(path);
   EXPECT_EQ(loaded.status, ReplacementOracle::CacheLoadStatus::loaded);
   EXPECT_EQ(loaded.adopted, loaded.entries);
@@ -209,9 +194,7 @@ TEST(OracleCacheTest, SaveLoadRoundTripServesWithoutSynthesis) {
 }
 
 TEST(OracleCacheTest, MissingFileIsNotAnError) {
-  OracleParams params;
-  params.enable_five_input = true;
-  ReplacementOracle oracle(db(), params);
+  ReplacementOracle oracle(db());
   const auto result = oracle.load_cache("/nonexistent/mighty/c5.db");
   EXPECT_EQ(result.status, ReplacementOracle::CacheLoadStatus::missing);
   EXPECT_EQ(oracle.cache_stats().entries, 0u);
@@ -219,13 +202,11 @@ TEST(OracleCacheTest, MissingFileIsNotAnError) {
 
 TEST(OracleCacheTest, CorruptedFilesRejectedWithoutMerging) {
   ScratchDir scratch("mighty_oracle_corrupt");
-  OracleParams params;
-  params.enable_five_input = true;
 
   // A valid one-entry file to mutate.
   const auto valid = (scratch.dir / "valid.db").string();
   {
-    ReplacementOracle oracle(db(), params);
+    ReplacementOracle oracle(db());
     ASSERT_TRUE(oracle.query(maj5_table()).has_value());
     ASSERT_EQ(oracle.save_cache(valid), 1u);
   }
@@ -241,7 +222,7 @@ TEST(OracleCacheTest, CorruptedFilesRejectedWithoutMerging) {
   const auto expect_rejected = [&](const char* name, const std::string& contents) {
     const auto path = (scratch.dir / name).string();
     std::ofstream(path) << contents;
-    ReplacementOracle oracle(db(), params);
+    ReplacementOracle oracle(db());
     const auto result = oracle.load_cache(path);
     EXPECT_EQ(result.status, ReplacementOracle::CacheLoadStatus::malformed) << name;
     EXPECT_EQ(oracle.cache_stats().entries, 0u)
@@ -287,6 +268,35 @@ TEST(OracleCacheTest, CorruptedFilesRejectedWithoutMerging) {
                       entry_line.substr(entry_line.find(' ')));
 }
 
+TEST(OracleCacheTest, NegativeFailureBudgetRejected) {
+  const auto f = maj5_table();
+  const auto line = [&](const char* budget) {
+    return "mighty-mig-5cut-cache v2 1\n" + npn::canonize(f).representative.to_hex() +
+           " fail " + budget + " 0\n";
+  };
+  {
+    // Below -1 is no budget the oracle writes; ranked as "proved absent" it
+    // would freeze maj5's class, so the file is rejected wholesale.
+    ReplacementOracle oracle(db());
+    std::istringstream is(line("-5"));
+    EXPECT_EQ(oracle.load_cache(is).status,
+              ReplacementOracle::CacheLoadStatus::malformed);
+    EXPECT_EQ(oracle.cache_stats().entries, 0u);
+    const auto info = oracle.query(f);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->size, 4u);
+    EXPECT_EQ(oracle.synthesized_count(), 1u);
+  }
+  {
+    // -1 is the oracle's own "proved absent": loaded and authoritative.
+    ReplacementOracle oracle(db());
+    std::istringstream is(line("-1"));
+    EXPECT_EQ(oracle.load_cache(is).status, ReplacementOracle::CacheLoadStatus::loaded);
+    EXPECT_FALSE(oracle.query(f).has_value());
+    EXPECT_EQ(oracle.synthesized_count(), 0u);
+  }
+}
+
 TEST(OracleCacheTest, SuccessBeatsFailureOnMerge) {
   ScratchDir scratch("mighty_oracle_merge");
   const auto path = (scratch.dir / "c5.db").string();
@@ -294,7 +304,6 @@ TEST(OracleCacheTest, SuccessBeatsFailureOnMerge) {
 
   // A rich session knows the answer and persists it...
   OracleParams rich;
-  rich.enable_five_input = true;
   {
     ReplacementOracle oracle(db(), rich);
     ASSERT_TRUE(oracle.query(f).has_value());
@@ -325,7 +334,6 @@ TEST(OracleCacheTest, BudgetUpgradeRetriesPersistedFailure) {
 
   // A starved session caches (and persists) a conflict-limit failure.
   OracleParams starved;
-  starved.enable_five_input = true;
   starved.synthesis_conflict_limit = 1;
   {
     ReplacementOracle oracle(db(), starved);
@@ -369,29 +377,27 @@ TEST(OracleCacheTest, SaveToNewPathAfterCleanLoadStillWrites) {
   ScratchDir scratch("mighty_oracle_newpath");
   const auto path_a = (scratch.dir / "a.db").string();
   const auto path_b = (scratch.dir / "b.db").string();
-  OracleParams params;
-  params.enable_five_input = true;
 
   {
-    ReplacementOracle oracle(db(), params);
+    ReplacementOracle oracle(db());
     ASSERT_TRUE(oracle.query(maj5_table()).has_value());
     ASSERT_EQ(oracle.save_cache(path_a), 1u);
   }
   {
     // A stale file at b: a different function's cache from another session.
-    ReplacementOracle oracle(db(), params);
+    ReplacementOracle oracle(db());
     ASSERT_TRUE(oracle.query(structured_five_input_functions()[0]).has_value());
     ASSERT_EQ(oracle.save_cache(path_b), 1u);
   }
 
   // Loading a leaves the cache clean — but saving to b must still write:
   // the clean-skip only applies to the path the cache is known to live at.
-  ReplacementOracle oracle(db(), params);
+  ReplacementOracle oracle(db());
   ASSERT_EQ(oracle.load_cache(path_a).status, ReplacementOracle::CacheLoadStatus::loaded);
   EXPECT_EQ(oracle.cache_stats().dirty, 0u);
   EXPECT_EQ(oracle.save_cache(path_b), 1u) << "stale file at new path kept";
   // b now holds a's contents: a fresh oracle must answer maj5 from it.
-  ReplacementOracle check(db(), params);
+  ReplacementOracle check(db());
   ASSERT_EQ(check.load_cache(path_b).status, ReplacementOracle::CacheLoadStatus::loaded);
   EXPECT_TRUE(check.query(maj5_table()).has_value());
   EXPECT_EQ(check.synthesized_count(), 0u);
@@ -400,9 +406,7 @@ TEST(OracleCacheTest, SaveToNewPathAfterCleanLoadStillWrites) {
 TEST(OracleCacheTest, SaveIsAtomicAndSkipsCleanCaches) {
   ScratchDir scratch("mighty_oracle_atomic");
   const auto path = (scratch.dir / "c5.db").string();
-  OracleParams params;
-  params.enable_five_input = true;
-  ReplacementOracle oracle(db(), params);
+  ReplacementOracle oracle(db());
   ASSERT_TRUE(oracle.query(maj5_table()).has_value());
   EXPECT_EQ(oracle.save_cache(path), 1u);
   EXPECT_EQ(oracle.save_cache(path), 0u);  // clean cache: file untouched
@@ -479,25 +483,23 @@ void expect_same_answers(const std::vector<MemberAnswer>& a, const std::vector<M
 // first, and whether one thread queries or four do.  Only the class
 // representatives are synthesized.
 TEST(OracleClassTest, AnswersDoNotDependOnQueryOrderOrThreads) {
-  OracleParams params;
-  params.enable_five_input = true;
   const auto members = class_members();
   const size_t classes = distinct_classes(members);
   ASSERT_EQ(classes, structured_five_input_functions().size());
 
-  ReplacementOracle forward(db(), params);
+  ReplacementOracle forward(db());
   std::vector<MemberAnswer> in_order;
   for (const auto& f : members) in_order.push_back(answer(forward, f));
   EXPECT_EQ(forward.synthesized_count(), classes);
   EXPECT_EQ(forward.cache_stats().entries, classes);
 
-  ReplacementOracle backward(db(), params);
+  ReplacementOracle backward(db());
   std::vector<MemberAnswer> reversed(members.size());
   for (size_t i = members.size(); i-- > 0;) reversed[i] = answer(backward, members[i]);
   EXPECT_EQ(backward.synthesized_count(), classes);
   expect_same_answers(in_order, reversed, members);
 
-  ReplacementOracle shared(db(), params);
+  ReplacementOracle shared(db());
   std::vector<MemberAnswer> threaded(members.size());
   util::ThreadPool pool(4);
   pool.parallel_for(members.size(),
@@ -513,9 +515,7 @@ TEST(OracleClassTest, AnswersDoNotDependOnQueryOrderOrThreads) {
 // representatives, which a fresh oracle adopts line for line.
 TEST(OracleCacheTest, V1CacheMigratesOntoClasses) {
   ScratchDir scratch("mighty_oracle_v1");
-  OracleParams params;
-  params.enable_five_input = true;
-  ReplacementOracle oracle(db(), params);
+  ReplacementOracle oracle(db());
   std::istringstream v1(
       "mighty-mig-5cut-cache v1 3\n"
       "0000ffff fail 20000 17\n"
@@ -541,7 +541,7 @@ TEST(OracleCacheTest, V1CacheMigratesOntoClasses) {
             "000f0fff ok 20000 137 5 1 13 6 8 10\n");
   EXPECT_TRUE(check::lint_cache_file(path).diagnostics.empty());
 
-  ReplacementOracle fresh(db(), params);
+  ReplacementOracle fresh(db());
   const auto reloaded = fresh.load_cache(path);
   ASSERT_EQ(reloaded.status, ReplacementOracle::CacheLoadStatus::loaded);
   EXPECT_EQ(reloaded.adopted, 2u);
@@ -558,9 +558,7 @@ TEST(OracleCacheTest, V1ChainServesItsWholeClass) {
   const auto synthesized = exact::synthesize_minimum_mig(f, options);
   ASSERT_EQ(synthesized.status, exact::SynthesisStatus::success);
 
-  OracleParams params;
-  params.enable_five_input = true;
-  ReplacementOracle oracle(db(), params);
+  ReplacementOracle oracle(db());
   std::istringstream v1("mighty-mig-5cut-cache v1 1\n" + f.to_hex() + " ok 20000 0 " +
                         synthesized.chain.to_string() + "\n");
   ASSERT_EQ(oracle.load_cache(v1).status, ReplacementOracle::CacheLoadStatus::loaded);
@@ -572,10 +570,8 @@ TEST(OracleCacheTest, V1ChainServesItsWholeClass) {
 }
 
 TEST(OracleCacheTest, V2RequiresRepresentativeKeys) {
-  OracleParams params;
-  params.enable_five_input = true;
   const auto load = [&](const std::string& text, size_t expected_entries) {
-    ReplacementOracle oracle(db(), params);
+    ReplacementOracle oracle(db());
     std::istringstream is(text);
     const auto result = oracle.load_cache(is);
     EXPECT_EQ(oracle.cache_stats().entries, expected_entries) << text;

@@ -16,9 +16,9 @@
 /// Determinism and safety of the parallel flow engine: `threads=N` must
 /// produce bit-identical networks to `threads=1` (checked structurally via
 /// BLIF serialization, which is stronger than CEC), the shared oracle must
-/// stay consistent under concurrent queries, and the "parallel:n" script
-/// directive must round-trip.  These tests carry the `parallel` ctest label
-/// so the ThreadSanitizer CI leg can select exactly the concurrency surface.
+/// stay consistent under concurrent queries.  These tests carry the
+/// `parallel` ctest label so the ThreadSanitizer CI leg can select exactly
+/// the concurrency surface.
 
 namespace mighty::flow {
 namespace {
@@ -103,26 +103,14 @@ TEST(ParallelFlowTest, WorkerPoolMaterializesOnlyWhenParallel) {
   EXPECT_EQ(session.worker_pool(), nullptr);
 }
 
-TEST(ParallelFlowTest, ParallelDirectiveParsesAndRoundTrips) {
-  EXPECT_EQ(Pipeline::parse("parallel:4").to_string(), "parallel:4");
-  EXPECT_EQ(Pipeline::parse("parallel4;TF").to_string(), "parallel:4;TF");
-  EXPECT_EQ(Pipeline::parse(" PARALLEL : 2 ; size ").to_string(), "parallel:2;size");
-  EXPECT_EQ(Pipeline().parallel(8).to_string(), "parallel:8");
-  EXPECT_THROW(Pipeline::parse("parallel"), std::invalid_argument);
-  EXPECT_THROW(Pipeline::parse("parallel:0"), std::invalid_argument);
-  EXPECT_THROW(Pipeline::parse("parallel:9999"), std::invalid_argument);
-}
-
-TEST(ParallelFlowTest, ParallelDirectiveSetsSessionThreads) {
+TEST(ParallelFlowTest, SetThreadsChangesThroughputNotTheResult) {
   auto session = make_session(1);
   const auto m = testutil::random_mig(6, 60, 4, 5);
+  session.set_threads(2);
   FlowReport report;
-  const auto out = Pipeline::parse("parallel:2;TF").run(m, session, &report);
-  EXPECT_EQ(session.threads(), 2u);
-  // The directive adds no trajectory entry — only TF reports.
+  const auto out = Pipeline::parse("TF").run(m, session, &report);
   ASSERT_EQ(report.passes.size(), 1u);
   EXPECT_EQ(report.passes[0].name, "TF");
-  // And the directive changes throughput only, never the result.
   auto sequential = make_session(1);
   const auto expected = Pipeline::parse("TF").run(m, sequential);
   EXPECT_EQ(to_blif(out), to_blif(expected));

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -206,6 +207,39 @@ TEST(ServeTest, StatusCancelAndErrorsOverTheWire) {
   } catch (const api::Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::unsupported);
   }
+}
+
+// A job describes only the network.  A remote client must not be able to
+// point the daemon's cache at a file of its choosing (shutdown would
+// overwrite it with the oracle cache) or change the thread count of every
+// later job: "cache:<path>" and "parallel:n" are unknown pass words.
+TEST(ServeTest, ScriptsCannotReconfigureTheDaemonSession) {
+  const std::string victim = ::testing::TempDir() + "victim_" +
+                             std::to_string(::getpid());
+  std::ofstream(victim) << "precious\n";
+  {
+    TestDaemon daemon("settings");
+    RemoteService client(daemon.socket());
+    api::JobRequest request = oracle_request();
+    for (const std::string& script :
+         {"cache:" + victim + ";TF", std::string("parallel:8;size")}) {
+      request.script = script;
+      try {
+        client.submit(request);
+        ADD_FAILURE() << "daemon accepted " << script;
+      } catch (const api::Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::invalid_script) << script;
+      }
+    }
+    EXPECT_EQ(client.stats().threads, 1u);
+    request.script = "TF";
+    EXPECT_EQ(client.result(client.submit(request)).code, ErrorCode::ok);
+  }  // daemon shutdown: the session persists its cache, which has no path
+  std::ifstream in(victim);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), "precious\n");
+  std::remove(victim.c_str());
 }
 
 TEST(ServeTest, HelloDiscipline) {

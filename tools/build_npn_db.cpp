@@ -46,9 +46,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--cache") != 0) continue;
     const char* cache_path = argv[i + 1];
-    opt::OracleParams params;
-    params.enable_five_input = true;
-    opt::ReplacementOracle oracle(db, params);
+    opt::ReplacementOracle oracle(db);
     const auto result = oracle.load_cache(cache_path);
     using Status = opt::ReplacementOracle::CacheLoadStatus;
     if (result.status == Status::missing) {

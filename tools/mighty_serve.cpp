@@ -14,8 +14,7 @@
 //   --cache <path>    persistent 5-input oracle cache (optional)
 //   --db <path>       NPN-4 database ($MIGHTY_DB_PATH / default otherwise)
 //   --threads <n>     shard parallelism within a job (default 1)
-//   --jobs <n>        concurrent jobs (default 1: strict submission order,
-//                     session directives allowed in scripts)
+//   --jobs <n>        concurrent jobs (default 1: strict submission order)
 //   --check <level>   off | fast | full between-pass invariant checking
 //   --warm            materialize database + oracle + cache before listening
 //
