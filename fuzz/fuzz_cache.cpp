@@ -8,13 +8,16 @@
 //     line for line;
 //   * a loaded v1 file (one line per raw function) is migrated onto NPN
 //     classes, so the cache holds exactly the distinct classes of its lines;
-//   * a rejected file leaves the cache empty.
+//   * a rejected file leaves the cache empty;
+//   * linting the same text (check::lint_cache) reports no error exactly
+//     when the loader accepts it: both run the one cache-file reader.
 // The oracle sits on an empty database: the loader path never consults it.
 
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "check/check.hpp"
 #include "driver.hpp"
 #include "exact/database.hpp"
 #include "npn/npn.hpp"
@@ -33,6 +36,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   FUZZ_REQUIRE(result.status != Status::missing);
   FUZZ_REQUIRE(result.adopted <= result.entries);
   const size_t cached = oracle.cache_stats().entries;
+  std::istringstream lint_input(text);
+  FUZZ_REQUIRE(mighty::check::lint_cache(lint_input).ok() ==
+               (result.status == Status::loaded));
   if (result.status != Status::loaded) {
     // Rejection is wholesale: nothing may leak into the cache.
     FUZZ_REQUIRE(cached == 0);

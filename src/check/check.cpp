@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <optional>
-#include <sstream>
 #include <unordered_set>
 
 #include "exact/chain.hpp"
@@ -630,126 +628,27 @@ CheckReport lint_database(const exact::Database& db) {
   return report;
 }
 
+CheckReport lint_cache(std::istream& is) {
+  opt::CacheFile file = opt::read_cache_file(is, /*all_diagnostics=*/true);
+  const auto unsorted = std::adjacent_find(
+      file.records.begin(), file.records.end(),
+      [](const opt::CacheRecord& a, const opt::CacheRecord& b) { return a.key >= b.key; });
+  if (unsorted != file.records.end()) {
+    file.report.add(Code::artifact_order, kNoNode,
+                    "entries not sorted by key (save_cache writes sorted files)",
+                    Severity::warning);
+  }
+  return std::move(file.report);
+}
+
 CheckReport lint_cache_file(const std::string& path) {
-  CheckReport report;
   std::ifstream is(path);
   if (!is) {
+    CheckReport report;
     report.add(Code::artifact_io, kNoNode, "cannot open " + path);
     return report;
   }
-
-  std::string header;
-  std::getline(is, header);
-  std::istringstream hs(header);
-  std::string magic, version;
-  size_t count = 0;
-  if (!(hs >> magic >> version >> count) || magic != "mighty-mig-5cut-cache" ||
-      (version != "v1" && version != "v2")) {
-    report.add(Code::artifact_header, 1, "bad header: \"" + header + '"');
-    return report;
-  }
-  // v2 keys every line by its NPN class representative; v1 keyed raw
-  // functions (still loadable: the oracle migrates it).
-  const bool class_keyed = version == "v2";
-
-  std::unordered_set<uint64_t> seen;
-  uint64_t previous_key = 0;
-  bool have_previous = false;
-  bool ordered = true;
-  size_t entries = 0;
-  std::string line;
-  for (uint32_t line_number = 2; std::getline(is, line); ++line_number) {
-    if (line.empty()) continue;
-    ++entries;
-    std::istringstream ls(line);
-    std::string hex, status;
-    int64_t budget = 0;
-    uint64_t conflicts = 0;
-    if (!(ls >> hex >> status >> budget >> conflicts)) {
-      report.add(Code::artifact_entry, line_number, "malformed line: \"" + line + '"');
-      continue;
-    }
-    if (hex.size() != 8) {
-      report.add(Code::artifact_entry, line_number,
-                 "truth table key must be 8 hex digits, got \"" + hex + '"');
-      continue;
-    }
-    tt::TruthTable f(5);
-    try {
-      f = tt::TruthTable::from_hex(5, hex);
-    } catch (const std::exception&) {
-      report.add(Code::artifact_entry, line_number, "unparsable key \"" + hex + '"');
-      continue;
-    }
-    if (!seen.insert(f.bits()).second) {
-      report.add(Code::artifact_entry, line_number, "duplicate key 0x" + hex);
-    }
-    if (have_previous && f.bits() <= previous_key) ordered = false;
-    previous_key = f.bits();
-    have_previous = true;
-    if (class_keyed) {
-      const auto canon = npn::canonize(f);
-      if (!(canon.representative == f)) {
-        report.add(Code::artifact_not_canonical, line_number,
-                   "key 0x" + hex + " is not a class representative (canonizes to 0x" +
-                       canon.representative.to_hex() + ")");
-      }
-    }
-
-    if (status == "ok") {
-      std::string rest;
-      std::getline(ls, rest);
-      std::optional<exact::MigChain> chain;
-      try {
-        chain = exact::MigChain::from_string(rest);
-      } catch (const std::exception&) {
-        report.add(Code::artifact_entry, line_number, "unparsable chain for 0x" + hex);
-        continue;
-      }
-      if (chain->num_vars != 5 || !(chain->simulate() == f)) {
-        report.add(Code::artifact_entry, line_number,
-                   "chain does not realize key 0x" + hex);
-        continue;
-      }
-      // Canonical-form line: the chain must re-serialize to exactly the
-      // stored text, so the file round-trips bit-identically.
-      const auto canonical = chain->to_string();
-      const auto start = rest.find_first_not_of(' ');
-      if (start == std::string::npos || rest.substr(start) != canonical) {
-        report.add(Code::artifact_not_canonical, line_number,
-                   "chain for 0x" + hex + " is not in canonical serialization");
-      }
-    } else if (status == "fail") {
-      std::string extra;
-      if (ls >> extra) {
-        report.add(Code::artifact_entry, line_number,
-                   "trailing tokens after failure record for 0x" + hex);
-      }
-      // Budget monotonicity: failures are retried when queried under a
-      // strictly larger budget, with -1 ranking above every finite value.
-      // A zero or negative finite budget would freeze a failure that never
-      // actually ran the solver.
-      if (budget != -1 && budget < 1) {
-        report.add(Code::artifact_budget, line_number,
-                   "failure for 0x" + hex + " recorded under budget " +
-                       std::to_string(budget) + " (must be -1 or >= 1)");
-      }
-    } else {
-      report.add(Code::artifact_entry, line_number,
-                 "unknown status \"" + status + "\" for 0x" + hex);
-    }
-  }
-  if (entries != count) {
-    report.add(Code::artifact_header, 1,
-               "header promises " + std::to_string(count) + " entries, file has " +
-                   std::to_string(entries));
-  }
-  if (!ordered) {
-    report.add(Code::artifact_order, kNoNode,
-               "entries not sorted by key (save_cache writes sorted files)",
-               Severity::warning);
-  }
-  return report;
+  return lint_cache(is);
 }
 
 }  // namespace mighty::check

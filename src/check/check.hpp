@@ -2,10 +2,11 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "check/report.hpp"
 #include "exact/database.hpp"
 #include "flow/pass.hpp"
 #include "mig/ffr.hpp"
@@ -37,88 +38,6 @@
 /// on the first failed between-pass check.
 
 namespace mighty::check {
-
-/// What went wrong.  Codes are stable identifiers: tests assert on them, and
-/// diagnostics print them, so a failure names the violated invariant rather
-/// than just a message string.
-enum class Code {
-  // --- structural MIG invariants (validate_structure) ---
-  po_target_out_of_range,    ///< primary output points past the node array
-  fanin_out_of_range,        ///< gate fanin index past the node array
-  fanin_self_reference,      ///< gate feeds itself
-  fanin_not_topological,     ///< fanin index >= gate index (breaks the
-                             ///< creation-order-is-topological invariant; the
-                             ///< only way an index-addressed MIG can cycle)
-  fanin_not_sorted,          ///< majority fanins not in canonical raw order
-  fanin_duplicate_index,     ///< two fanins share a node (a trivial
-                             ///< simplification <xxy>/<x!xy> was skipped)
-  fanin_polarity_not_normalized,  ///< two or more complemented fanins
-                                  ///< (self-duality normalization skipped)
-  terminal_fanin_corrupt,    ///< constant/PI node carries a non-default fanin
-  // --- derived-data consistency vs. recomputation (validate) ---
-  level_mismatch,       ///< stored/reported level != independent recomputation
-  fanout_mismatch,      ///< fanout count != independent recomputation
-  live_count_mismatch,  ///< live-gate accounting != independent recomputation
-  // --- FFR partition invariants (validate_partition) ---
-  region_root_out_of_range,  ///< region_root points past the node array
-  region_root_not_root,      ///< a node's region root is not marked is_root
-  region_roots_not_topological,  ///< roots list not ascending (= topological)
-  region_membership_broken,  ///< member's fanout leaves the region before the
-                             ///< root, or a root maps to a different region
-  // --- shard plan invariants (validate_shard_plan) ---
-  shard_overlap,      ///< a node appears in two shards (plans must be disjoint)
-  shard_incomplete,   ///< a live gate missing from every shard
-  shard_not_sorted,   ///< a shard's roots/nodes not ascending (= topological)
-  shard_foreign_node, ///< a shard node whose region root is not in the shard
-  wave_order_broken,  ///< a region at level L fed by a region at level >= L
-  // --- flow report accounting (validate_report / validate_tally) ---
-  report_rollup_mismatch,   ///< totals differ from the per-pass sums
-  report_pass_inconsistent, ///< a pass entry violates counter conservation
-  report_tally_mismatch,    ///< report totals differ from the OracleTally
-  // --- on-disk artifacts (lint_database / lint_cache_file) ---
-  artifact_io,            ///< file missing or unreadable
-  artifact_header,        ///< bad magic/version/count header
-  artifact_entry,         ///< malformed or inconsistent entry line
-  artifact_not_canonical, ///< key is not its own canonical form, or a chain
-                          ///< does not re-serialize to the stored line
-  artifact_budget,        ///< cache budget field violates monotonicity rules
-  artifact_order,         ///< entries not sorted by key (warning)
-};
-
-/// Stable name of a code ("fanin_not_topological", ...), for messages/tests.
-const char* code_name(Code code);
-
-enum class Severity { error, warning };
-
-/// Sentinel for diagnostics that are not about one specific node/line.
-inline constexpr uint32_t kNoNode = std::numeric_limits<uint32_t>::max();
-
-struct Diagnostic {
-  Code code;
-  Severity severity = Severity::error;
-  /// Node index, shard index, pass index, or 1-based file line — whichever
-  /// the validator's context documents; kNoNode when not applicable.
-  uint32_t node = kNoNode;
-  std::string message;
-};
-
-struct CheckReport {
-  std::vector<Diagnostic> diagnostics;
-
-  bool ok() const { return num_errors() == 0; }
-  size_t num_errors() const;
-  size_t num_warnings() const;
-  bool has(Code code) const;
-  /// First diagnostic with this code, or nullptr.
-  const Diagnostic* find(Code code) const;
-
-  void add(Code code, uint32_t node, std::string message,
-           Severity severity = Severity::error);
-  void merge(CheckReport other);
-
-  /// One line per diagnostic: "error[fanin_not_topological] node 7: ...".
-  std::string summary() const;
-};
 
 /// A raw, corruptible view of an MIG: the exact data the structural checks
 /// judge, in a form tests can hand-mangle (Mig's own invariants are enforced
@@ -198,14 +117,20 @@ CheckReport validate_tally(const flow::FlowReport& report, const opt::OracleTall
 /// representative within the Theorem-2 bound of 7 gates.
 CheckReport lint_database(const exact::Database& db);
 
-/// 5-input oracle cache file lint, beyond the loader's wholesale accept/
-/// reject: per-line diagnostics (`node` = 1-based line), canonical-form keys
-/// (the stored chain must re-serialize to the stored line and realize the
-/// key function; in a v2 file every key must be its own NPN class
-/// representative, while v1 files key raw functions), budget monotonicity (a failure must record either the
-/// unlimited -1 budget — proved absent, never retry — or a positive conflict
-/// budget; 0 would freeze a never-attempted failure forever), and sorted
-/// keys (save_cache writes sorted; disorder flags hand-editing — warning).
+/// 5-input oracle cache file lint: the diagnostics of the one cache-file
+/// reader (opt::read_cache_file, which the oracle's loader runs too, so a
+/// file lints without errors exactly when load_cache accepts it), plus a
+/// warning when keys are not sorted (save_cache writes sorted; disorder
+/// flags hand-editing).  Per-line diagnostics (`node` = 1-based line) cover
+/// the header and its entry count, malformed lines and duplicate keys,
+/// canonical-form keys (the stored chain must realize the key function and
+/// re-serialize to the stored text; in a v2 file every key must be its own
+/// NPN class representative, while v1 files key raw functions), and failure
+/// budgets: -1 (proved absent, never retried) or any budget >= 0, retried
+/// under a strictly larger one — a budget below -1 would rank as -1 and
+/// freeze the class unanswered.
+CheckReport lint_cache(std::istream& is);
+/// lint_cache on the file at `path`; `artifact_io` when it cannot be opened.
 CheckReport lint_cache_file(const std::string& path);
 
 }  // namespace mighty::check

@@ -92,6 +92,9 @@ MigChain MigChain::from_string(const std::string& line) {
   if (!(is >> chain.num_vars >> num_steps >> output)) {
     throw std::runtime_error("malformed chain line: " + line);
   }
+  if (chain.num_vars > tt::TruthTable::max_vars) {
+    throw std::runtime_error("chain over too many variables: " + line);
+  }
   chain.output = static_cast<RefLit>(output);
   for (size_t m = 0; m < num_steps; ++m) {
     Step s;
@@ -99,8 +102,16 @@ MigChain MigChain::from_string(const std::string& line) {
     if (!(is >> f0 >> f1 >> f2)) {
       throw std::runtime_error("truncated chain line: " + line);
     }
+    // A step sees the constant, the inputs and the steps before it;
+    // simulate() and instantiate() index by these references unchecked.
+    if (std::max({f0, f1, f2}) >> 1 > chain.num_vars + m) {
+      throw std::runtime_error("chain step references a later value: " + line);
+    }
     s.fanin = {static_cast<RefLit>(f0), static_cast<RefLit>(f1), static_cast<RefLit>(f2)};
     chain.steps.push_back(s);
+  }
+  if (output >> 1 > chain.num_vars + num_steps) {
+    throw std::runtime_error("chain output references no value: " + line);
   }
   return chain;
 }

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "flow/batch.hpp"
+#include "flow/script.hpp"
 #include "flow/session.hpp"
 #include "util/clock.hpp"
 
@@ -21,23 +22,13 @@ namespace {
 // --- candidate representation ------------------------------------------------
 //
 // Mutations need structure (which '*' belongs to which group, where a group
-// begins), so candidates live as a tiny AST mirroring the script grammar, and
+// begins), so candidates live as the grammar's syntax tree (script.hpp), and
 // are rendered to script text for everything else: validation and
 // canonicalization through Pipeline::parse, evaluation, reporting.
 
-struct Item;
-using Sequence = std::vector<Item>;
-
-enum class Mod : uint8_t { once, repeat, converge };
-
-struct Item {
-  std::string word;  ///< leaf when non-empty ("TF", "size", "map4")
-  Sequence body;     ///< group when non-empty
-  Mod mod = Mod::once;
-  uint32_t count = 0;  ///< repeat times / convergence round cap
-
-  bool is_group() const { return word.empty(); }
-};
+using script::Item;
+using script::Mod;
+using script::Sequence;
 
 /// Renders one candidate back to script text.  `cap` clamps every
 /// convergence-round budget — the successive-halving rungs evaluate the same
@@ -94,132 +85,6 @@ size_t count_words(const Sequence& sequence) {
   }
   return n;
 }
-
-/// Minimal recursive-descent parser from script text into the mutation AST.
-/// Accepts exactly the candidate subset of the grammar: words, groups,
-/// '*'-modifiers.
-class AstParser {
-public:
-  explicit AstParser(const std::string& script) : script_(script) {}
-
-  Sequence parse() {
-    Sequence result = sequence();
-    skip_space();
-    if (pos_ < script_.size()) {
-      throw std::invalid_argument("autotune seed script: unexpected '" +
-                                  std::string(1, script_[pos_]) + "' in \"" +
-                                  script_ + '"');
-    }
-    return result;
-  }
-
-private:
-  void skip_space() {
-    while (pos_ < script_.size() &&
-           std::isspace(static_cast<unsigned char>(script_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_space();
-    return pos_ < script_.size() ? script_[pos_] : '\0';
-  }
-
-  Sequence sequence() {
-    Sequence result;
-    while (true) {
-      const char c = peek();
-      if (c == '\0' || c == ')') break;
-      if (c == ';') {
-        ++pos_;
-        continue;
-      }
-      result.push_back(item());
-    }
-    return result;
-  }
-
-  Item item() {
-    Item result;
-    if (peek() == '(') {
-      ++pos_;
-      result.body = sequence();
-      if (peek() != ')') {
-        throw std::invalid_argument("autotune seed script: missing ')' in \"" +
-                                    script_ + '"');
-      }
-      ++pos_;
-      if (result.body.empty()) {
-        throw std::invalid_argument("autotune seed script: empty group in \"" +
-                                    script_ + '"');
-      }
-    } else {
-      result.word = word();
-    }
-    if (peek() == '*') {
-      ++pos_;
-      if (peek() == '<') {
-        ++pos_;
-        result.mod = Mod::converge;
-        result.count = integer();
-      } else if (std::isdigit(static_cast<unsigned char>(peek()))) {
-        result.mod = Mod::repeat;
-        result.count = integer();
-      } else {
-        result.mod = Mod::converge;
-        result.count = kDefaultConvergenceRounds;
-      }
-    }
-    return result;
-  }
-
-  std::string word() {
-    skip_space();
-    std::string text;
-    while (pos_ < script_.size() &&
-           std::isalnum(static_cast<unsigned char>(script_[pos_]))) {
-      text += static_cast<char>(
-          std::tolower(static_cast<unsigned char>(script_[pos_])));
-      ++pos_;
-    }
-    if (text.empty()) {
-      throw std::invalid_argument("autotune seed script: expected a pass name in \"" +
-                                  script_ + '"');
-    }
-    return text;
-  }
-
-  uint32_t integer() {
-    // Mirrors the main grammar's integer(): consume every digit with a
-    // saturating accumulator, then reject oversized counts outright — a
-    // huge seed count must fail as "too large", not stop mid-number or wrap.
-    constexpr uint64_t kMaxCount = 1'000'000;
-    skip_space();
-    uint64_t value = 0;
-    size_t digits = 0;
-    while (pos_ < script_.size() &&
-           std::isdigit(static_cast<unsigned char>(script_[pos_]))) {
-      if (value <= kMaxCount) {
-        value = value * 10 + static_cast<uint64_t>(script_[pos_] - '0');
-      }
-      ++pos_;
-      ++digits;
-    }
-    if (digits == 0) {
-      throw std::invalid_argument("autotune seed script: expected a count in \"" +
-                                  script_ + '"');
-    }
-    if (value > kMaxCount) {
-      throw std::invalid_argument("autotune seed script: count too large in \"" +
-                                  script_ + '"');
-    }
-    return static_cast<uint32_t>(value);
-  }
-
-  const std::string& script_;
-  size_t pos_ = 0;
-};
 
 // --- mutation ----------------------------------------------------------------
 
@@ -525,14 +390,15 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
       }
     }
   }
-  for (auto& word : vocabulary) {
-    Pipeline::parse(word);  // throws with the offending word on a bad vocabulary
-    // AST words are stored lowercase (the grammar is case-insensitive);
-    // vocabulary words must match, or the replace-mutation's no-op guard
-    // ("drew the item's own word") never fires.
-    for (auto& c : word) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (auto& entry : vocabulary) {
+    // Stored as the parser spells words (lowercase), or the replace
+    // mutation's no-op guard ("drew the item's own word") never fires.
+    const Sequence parsed = script::parse(entry);
+    if (parsed.size() != 1 || parsed[0].is_group() || parsed[0].mod != Mod::once) {
+      throw std::invalid_argument("autotune vocabulary entry \"" + entry +
+                                  "\" is not a single pass word");
     }
+    entry = parsed[0].word;
   }
 
   std::vector<std::string> seeds = params_.seed_scripts;
@@ -623,8 +489,7 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
   std::vector<Candidate> pool;
   for (const auto& seed : seeds) {
     Candidate candidate;
-    Pipeline::parse(seed);  // a bad seed fails with the grammar's own error
-    candidate.ast = AstParser(seed).parse();
+    candidate.ast = script::parse(seed);
     candidate.canonical = canonicalize(render(candidate.ast, params_.full_round_cap));
     if (!seen.insert(candidate.canonical).second) continue;
     ++out.candidates_generated;
@@ -635,7 +500,7 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
   // report's bar to beat must exist.
   {
     Candidate baseline;
-    baseline.ast = AstParser(kBaselineScript).parse();
+    baseline.ast = script::parse(kBaselineScript);
     // Rendered under the same full-budget clamp as every candidate: with a
     // non-default full_round_cap the bar to beat must run the same number of
     // convergence rounds the winners are allowed, or the comparison (and the
@@ -724,7 +589,7 @@ Pipeline Autotuner::tune(const Corpus& corpus, TuneReport* report) {
     pool.clear();
     for (size_t i = 0; i < entries.size() && i < parents; ++i) {
       Candidate parent;
-      parent.ast = AstParser(entries[i]->script).parse();
+      parent.ast = script::parse(entries[i]->script);
       parent.canonical = entries[i]->script;
       pool.push_back(std::move(parent));
     }

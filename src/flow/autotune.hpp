@@ -88,7 +88,9 @@ struct TuneParams {
   /// first search pays).
   bool five_input_words = false;
   /// Mutation vocabulary; empty selects the default (the four F-variants
-  /// plus size and depth, extended by five_input_words).
+  /// plus size and depth, extended by five_input_words).  Each entry must
+  /// be exactly one pass word without a '*' suffix ("TF", "map4", "BFD5");
+  /// anything else, "TF;size" or "(TF)*" included, throws.
   std::vector<std::string> vocabulary;
   /// Seed scripts; empty selects the paper's flows (always including
   /// kBaselineScript).  Each must parse (Pipeline::parse).
@@ -136,7 +138,8 @@ public:
   /// from its canonical script, so running it reproduces the reported
   /// metrics bit-identically).  When `report` is given it is reset and
   /// filled.  Throws std::invalid_argument on an empty corpus or malformed
-  /// TuneParams (bad seed script, empty vocabulary word, population 0).
+  /// TuneParams (bad seed script, a vocabulary entry that is not one pass
+  /// word, population 0).
   Pipeline tune(const Corpus& corpus, TuneReport* report = nullptr);
 
   /// Tunes a single network (a corpus of one).

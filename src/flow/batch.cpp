@@ -40,8 +40,8 @@ std::vector<mig::Mig> BatchRunner::run(const Corpus& corpus, const Pipeline& pip
   // touch disjoint elements, so no locking is needed.
   auto execute_pass = [&](size_t i, size_t pass_index) {
     const auto pass_start = util::Clock::now();
-    results[i] = pipeline.pass(pass_index).run(results[i], session_,
-                                               out.networks[i].flow);
+    results[i] = pipeline.run_pass(pass_index, results[i], session_,
+                                   out.networks[i].flow);
     out.networks[i].flow.seconds += util::seconds_since(pass_start);
   };
   auto fail_network = [&](size_t i, const char* what) {

@@ -4,6 +4,7 @@
 
 #include "api/error.hpp"
 #include "flow/pipeline.hpp"
+#include "flow/script.hpp"
 
 /// Recursive-descent parser for the flow-script grammar (see pipeline.hpp):
 ///
@@ -15,9 +16,10 @@
 /// Case-insensitive; whitespace between tokens is insignificant (a token
 /// itself cannot be split: "ma p" is not "map"); empty items ("TF;;BF",
 /// trailing ';') are permitted and skipped so shell-assembled scripts don't
-/// need trimming.
+/// need trimming.  Every word is validated where it stands, so the first
+/// error in the text is the one reported.
 
-namespace mighty::flow {
+namespace mighty::flow::script {
 
 namespace {
 
@@ -25,8 +27,8 @@ class Parser {
 public:
   explicit Parser(const std::string& script) : script_(script) {}
 
-  Pipeline parse() {
-    Pipeline result = sequence();
+  Sequence parse() {
+    Sequence result = sequence();
     if (!at_end()) {
       fail(std::string("unexpected '") + peek() + "'");
     }
@@ -71,12 +73,12 @@ private:
     return true;
   }
 
-  Pipeline sequence() {
-    Pipeline result;
+  Sequence sequence() {
+    Sequence result;
     while (true) {
       if (at_end() || peek() == ')') break;
       if (consume(';')) continue;  // empty item
-      result.then(item());
+      result.push_back(item());
       if (!at_end() && peek() != ')' && !consume(';')) {
         fail(std::string("expected ';' before '") + peek() + "'");
       }
@@ -84,35 +86,40 @@ private:
     return result;
   }
 
-  Pipeline item() {
-    Pipeline base = atom();
-    if (!consume('*')) return base;
+  Item item() {
+    Item result = atom();
+    if (!consume('*')) return result;
+    result.mod = Mod::converge;
+    result.count = kDefaultConvergenceRounds;
     if (consume('<')) {  // "x*<N": until convergence, at most N rounds
-      const uint32_t rounds = integer();
-      if (rounds == 0) fail_at(int_start_, "round cap must be at least 1");
-      return base.until_convergence(rounds);
+      result.count = integer();
+      if (result.count == 0) fail_at(int_start_, "round cap must be at least 1");
+      return result;
     }
     skip_space();
     if (pos_ < script_.size() &&
         std::isdigit(static_cast<unsigned char>(script_[pos_]))) {
-      const uint32_t count = integer();
-      if (count == 0) fail_at(int_start_, "repeat count must be at least 1");
-      return base.repeat(count);
+      result.mod = Mod::repeat;
+      result.count = integer();
+      if (result.count == 0) fail_at(int_start_, "repeat count must be at least 1");
     }
-    return base.until_convergence();
+    return result;
   }
 
-  Pipeline atom() {
+  Item atom() {
+    Item result;
     if (consume('(')) {
-      Pipeline inner = sequence();
+      result.body = sequence();
       if (!consume(')')) fail("missing ')'");
-      if (inner.empty()) fail("empty group '()'");
-      return inner;
+      if (result.body.empty()) fail("empty group '()'");
+      return result;
     }
-    return word();
+    result.word = word();
+    return result;
   }
 
-  Pipeline word() {
+  /// Consumes one word and returns its lowercased text.
+  std::string word() {
     skip_space();
     const size_t start = pos_;
     std::string text;
@@ -128,21 +135,19 @@ private:
                           "'");
     }
 
-    Pipeline result;
-    if (text == "size") return result.size_opt(), result;
-    if (text == "depth") return result.depth_opt(), result;
-    if (text == "check") return result.check(), result;
+    if (text == "size" || text == "depth" || text == "check") return text;
     if (text == "map") {
-      map::MapParams params;
       if (pos_ < script_.size() &&
           std::isdigit(static_cast<unsigned char>(script_[pos_]))) {
-        params.lut_size = integer();
-        if (params.lut_size < 2 || params.lut_size > 16) {
+        const size_t digits = pos_;
+        const uint32_t lut_size = integer();
+        if (lut_size < 2 || lut_size > 16) {
           fail_at(int_start_, "LUT size out of range in 'map" +
-                                  std::to_string(params.lut_size) + "'");
+                                  std::to_string(lut_size) + "'");
         }
+        text.append(script_, digits, pos_ - digits);
       }
-      return result.lut_map(params), result;
+      return text;
     }
     // A trailing '5' selects the variant's 5-input-cut extension ("TF5");
     // it is part of the word, not a repeat count (those need '*').
@@ -151,11 +156,11 @@ private:
       ++pos_;
     }
     try {
-      result.rewrite(text);
+      make_rewrite_pass(text);
     } catch (const std::invalid_argument&) {
       fail_at(start, "unknown pass \"" + text + '"');
     }
-    return result;
+    return text;
   }
 
   /// Largest count any production accepts; far below UINT32_MAX, so inputs
@@ -191,10 +196,42 @@ private:
   size_t int_start_ = 0;
 };
 
+/// The pass a word the parser accepted denotes.
+std::unique_ptr<Pass> word_pass(const std::string& word) {
+  if (word == "size") return make_size_pass();
+  if (word == "depth") return make_depth_pass();
+  if (word == "check") return make_check_pass();
+  if (word.compare(0, 3, "map") == 0) {
+    map::MapParams params;
+    if (word.size() > 3) params.lut_size = static_cast<uint32_t>(std::stoul(word.substr(3)));
+    return make_lut_map_pass(params);
+  }
+  return make_rewrite_pass(word);
+}
+
+/// The pipeline a parsed tree denotes; groups without a suffix are spliced
+/// into their parent sequence.
+Pipeline build(const Sequence& sequence) {
+  Pipeline result;
+  for (const auto& item : sequence) {
+    Pipeline unit = item.is_group() ? build(item.body) : Pipeline().add(word_pass(item.word));
+    if (item.mod == Mod::repeat) unit = unit.repeat(item.count);
+    if (item.mod == Mod::converge) unit = unit.until_convergence(item.count);
+    result.then(unit);
+  }
+  return result;
+}
+
 }  // namespace
 
+Sequence parse(const std::string& text) { return Parser(text).parse(); }
+
+}  // namespace mighty::flow::script
+
+namespace mighty::flow {
+
 Pipeline Pipeline::parse(const std::string& script) {
-  return Parser(script).parse();
+  return script::build(script::parse(script));
 }
 
 }  // namespace mighty::flow

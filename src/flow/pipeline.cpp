@@ -251,21 +251,27 @@ mig::Mig Pipeline::run_into(const mig::Mig& mig, Session& session,
                             FlowReport& report) const {
   mig::Mig current = mig;
   enforce_run_control(report.control, current, report, session);
-  for (const auto& pass : passes_) {
-    current = pass->run(current, session, report);
-    enforce_run_control(report.control, current, report, session);
-    // Between-pass invariant checking: composite passes recurse through
-    // run_into, so every intermediate network of every nesting level is
-    // covered.  A violation here is a bug in the pass that just ran — stop
-    // at the first one, before later passes smear the evidence.
-    const CheckLevel level = session.check_level();
-    if (level != CheckLevel::off) {
-      const auto checked =
-          check::validate_at(current, level == CheckLevel::full);
-      if (!checked.ok()) {
-        throw std::logic_error("invariant check failed after pass '" +
-                               pass->name() + "':\n" + checked.summary());
-      }
+  for (size_t i = 0; i < passes_.size(); ++i) {
+    current = run_pass(i, current, session, report);
+  }
+  return current;
+}
+
+mig::Mig Pipeline::run_pass(size_t i, const mig::Mig& mig, Session& session,
+                            FlowReport& report) const {
+  const Pass& pass = *passes_[i];
+  mig::Mig current = pass.run(mig, session, report);
+  enforce_run_control(report.control, current, report, session);
+  // Between-pass invariant checking: composite passes recurse through
+  // run_into, so every intermediate network of every nesting level is
+  // covered.  A violation here is a bug in the pass that just ran — stop
+  // at the first one, before later passes smear the evidence.
+  const CheckLevel level = session.check_level();
+  if (level != CheckLevel::off) {
+    const auto checked = check::validate_at(current, level == CheckLevel::full);
+    if (!checked.ok()) {
+      throw std::logic_error("invariant check failed after pass '" + pass.name() +
+                             "':\n" + checked.summary());
     }
   }
   return current;

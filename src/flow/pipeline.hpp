@@ -118,6 +118,12 @@ public:
   mig::Mig run_into(const mig::Mig& mig, Session& session,
                     FlowReport& report) const;
 
+  /// Runs pass `i`, then the run control riding on `report` and the
+  /// session's between-pass invariant check (std::logic_error naming the
+  /// pass) — for run_into and the batch runner's per-pass tasks alike.
+  mig::Mig run_pass(size_t i, const mig::Mig& mig, Session& session,
+                    FlowReport& report) const;
+
   // --- inspection ------------------------------------------------------------
 
   size_t num_passes() const { return passes_.size(); }

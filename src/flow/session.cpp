@@ -6,8 +6,19 @@
 
 namespace mighty::flow {
 
+#ifndef NDEBUG
+constexpr CheckLevel kDefaultCheckLevel = CheckLevel::fast;
+#else
+constexpr CheckLevel kDefaultCheckLevel = CheckLevel::off;
+#endif
+
+Session::Session(SessionParams params)
+    : params_(std::move(params)), check_level_(kDefaultCheckLevel) {}
+
 Session::Session(exact::Database db, SessionParams params)
-    : params_(std::move(params)), database_(std::move(db)) {}
+    : params_(std::move(params)),
+      check_level_(kDefaultCheckLevel),
+      database_(std::move(db)) {}
 
 Session::~Session() {
   // Autosave is best effort: destructors must not throw, and losing a save

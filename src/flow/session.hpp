@@ -63,7 +63,7 @@ struct SessionParams {
 class Session {
 public:
   Session() : Session(SessionParams{}) {}
-  explicit Session(SessionParams params) : params_(std::move(params)) {}
+  explicit Session(SessionParams params);
 
   /// Adopts an already-loaded database (no disk access, no lazy build).
   explicit Session(exact::Database db, SessionParams params = {});
@@ -148,9 +148,11 @@ public:
 
   // --- between-pass invariant checking ----------------------------------------
 
-  /// Selects the between-pass check level.  Defaults to `fast` in builds
-  /// without NDEBUG (every Debug test run doubles as an invariant test) and
-  /// `off` otherwise, so Release benches measure the passes, not the checks.
+  /// Selects the between-pass check level.  Defaults to `fast` when the
+  /// library is built without NDEBUG (every Debug test run doubles as an
+  /// invariant test) and `off` otherwise, so Release benches measure the
+  /// passes, not the checks.  The library decides, for every constructor:
+  /// a caller's own NDEBUG does not change the default.
   void set_check_level(CheckLevel level) { check_level_ = level; }
   CheckLevel check_level() const { return check_level_; }
 
@@ -167,11 +169,7 @@ private:
   SessionParams params_;
   /// Serializes persist() across shutdown paths.
   util::Mutex persist_mutex_{util::LockRank::flow_session_persist};
-#ifndef NDEBUG
-  CheckLevel check_level_ = CheckLevel::fast;
-#else
-  CheckLevel check_level_ = CheckLevel::off;
-#endif
+  CheckLevel check_level_;
   std::optional<exact::Database> database_;
   std::optional<opt::ReplacementOracle> oracle_;
   std::unique_ptr<util::ThreadPool> pool_;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "exact/exact_synthesis.hpp"
 #include "opt/rewrite.hpp"
@@ -222,87 +223,25 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache(std::istream& i
 
 ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
     std::istream& is, const std::string& path) {
-  const CacheLoadResult malformed{CacheLoadStatus::malformed, 0, 0};
+  // The whole file is read and validated before anything merges: a
+  // corrupted, truncated or duplicate-carrying cache is rejected without
+  // leaving a partially merged in-memory state behind.
+  CacheFile file = read_cache_file(is, /*all_diagnostics=*/false);
+  if (!file.report.ok()) return {CacheLoadStatus::malformed, 0, 0};
+  const bool migrate = !file.class_keyed;
 
-  std::string header;
-  std::getline(is, header);
-  std::istringstream hs(header);
-  std::string magic, version;
-  size_t count = 0;
-  if (!(hs >> magic >> version >> count) || magic != kCacheMagic ||
-      (version != kCacheVersion && version != kCacheVersionV1)) {
-    return malformed;
-  }
-  const bool migrate = version == kCacheVersionV1;
-
-  // Parse and validate the whole file before merging anything: a corrupted,
-  // truncated or duplicate-carrying cache must be rejected without leaving a
-  // partially merged in-memory state behind.  The header count is itself
-  // unvalidated input, so the reserve is clamped — a garbage count must
-  // produce `malformed`, not a length_error from a petabyte reserve.
   std::vector<std::pair<uint64_t, CacheEntry>> parsed;  // by class, first-seen order
-  parsed.reserve(std::min<size_t>(count, 1u << 16));
+  parsed.reserve(file.records.size());
   std::unordered_map<uint64_t, size_t> class_index;
-  std::unordered_map<uint64_t, bool> seen;
-  size_t lines = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string hex, status;
-    CacheEntry entry;
-    if (!(ls >> hex >> status >> entry.budget >> entry.conflicts)) return malformed;
-    // 5-variable truth tables are exactly 8 hex digits; from_hex would
-    // silently mask a longer string onto the wrong function.
-    if (hex.size() != 8) return malformed;
-    tt::TruthTable f(5);
-    try {
-      f = tt::TruthTable::from_hex(5, hex);
-    } catch (const std::exception&) {
-      return malformed;
+  for (auto& record : file.records) {
+    // v2 content is by definition persisted.  v1 keyed raw functions: the
+    // line is filed under its class, with the chain carried onto the
+    // representative, and is not yet on disk in v2.
+    CacheEntry entry{std::move(record.chain), record.budget, record.conflicts, migrate};
+    if (migrate && entry.chain) {
+      entry.chain = exact::apply_transform(*entry.chain, record.canon.transform);
     }
-    if (status == "ok") {
-      std::string rest;
-      std::getline(ls, rest);
-      try {
-        entry.chain = exact::MigChain::from_string(rest);
-      } catch (const std::exception&) {
-        return malformed;
-      }
-      // The stored chain must realize the function it is filed under, and
-      // the line must be exactly its canonical serialization — trailing
-      // garbage would round-trip differently than it parsed.
-      if (entry.chain->num_vars != 5 || entry.chain->simulate() != f) return malformed;
-      const auto canonical = entry.chain->to_string();
-      const auto start = rest.find_first_not_of(' ');
-      if (start == std::string::npos || rest.substr(start) != canonical) {
-        return malformed;
-      }
-    } else if (status == "fail") {
-      std::string extra;
-      if (ls >> extra) return malformed;  // trailing garbage
-      // A failure is recorded under -1 ("proved absent") or the finite limit
-      // that ran out; any other negative budget would rank as -1 and freeze
-      // the class unanswered for good.
-      if (entry.budget < -1) return malformed;
-    } else {
-      return malformed;
-    }
-    if (!seen.emplace(f.bits(), true).second) return malformed;  // duplicate line
-    ++lines;
-    const auto canon = npn::canonize(f);
-    if (migrate) {
-      // v1 keyed raw functions: file the line under its class, with the
-      // chain carried onto the representative.  Not yet on disk in v2.
-      if (entry.chain) entry.chain = exact::apply_transform(*entry.chain, canon.transform);
-      entry.dirty = true;
-    } else {
-      // v2 keys are representatives; anything else would make lookups of
-      // the class miss the line.
-      if (canon.representative != f) return malformed;
-      entry.dirty = false;  // disk content is by definition persisted
-    }
-    const uint64_t key = canon.representative.bits();
+    const uint64_t key = record.canon.representative.bits();
     const auto [slot, fresh] = class_index.try_emplace(key, parsed.size());
     if (fresh) {
       parsed.emplace_back(key, std::move(entry));
@@ -310,9 +249,8 @@ ReplacementOracle::CacheLoadResult ReplacementOracle::load_cache_stream(
       parsed[slot->second].second = std::move(entry);
     }
   }
-  if (lines != count) return malformed;
 
-  CacheLoadResult result{CacheLoadStatus::loaded, lines, 0};
+  CacheLoadResult result{CacheLoadStatus::loaded, file.records.size(), 0};
   for (auto& [key, disk] : parsed) {
     CacheStripe& stripe = stripe_for(key);
     util::MutexLock lock(stripe.mutex);
@@ -426,6 +364,139 @@ mig::Signal ReplacementOracle::instantiate(const tt::TruthTable& f, mig::Mig& mi
     throw std::logic_error("instantiate called without a successful query");
   }
   return chain->instantiate(mig, leaves);
+}
+
+namespace {
+
+/// `text` quoted for a diagnostic, cut short: a line of an untrusted file
+/// can be arbitrarily long, and the report must not copy it whole.
+std::string quoted(const std::string& text) {
+  constexpr size_t kShown = 64;
+  std::string out = "\"";
+  out.append(text, 0, kShown);
+  out += text.size() > kShown ? "...\"" : "\"";
+  return out;
+}
+
+/// One line of read_cache_file: the record when the line holds no error,
+/// with every finding added to `report`.
+std::optional<CacheRecord> read_cache_line(const std::string& line, uint32_t line_number,
+                                           bool class_keyed,
+                                           std::unordered_set<uint64_t>& seen,
+                                           check::CheckReport& report) {
+  using check::Code;
+  std::istringstream ls(line);
+  std::string hex, status;
+  CacheRecord record;
+  const size_t findings = report.diagnostics.size();
+  const auto flag = [&](Code code, std::string message) {
+    report.add(code, line_number, std::move(message));
+  };
+  if (!(ls >> hex >> status >> record.budget >> record.conflicts)) {
+    flag(Code::artifact_entry, "malformed line: " + quoted(line));
+    return std::nullopt;
+  }
+  tt::TruthTable f(5);
+  try {
+    // 5-variable truth tables are exactly 8 hex digits; from_hex would
+    // silently mask a longer string onto the wrong function.
+    if (hex.size() != 8) throw std::invalid_argument("key length");
+    f = tt::TruthTable::from_hex(5, hex);
+  } catch (const std::exception&) {
+    flag(Code::artifact_entry, "key must be 8 hex digits, got " + quoted(hex));
+    return std::nullopt;
+  }
+  record.key = f.bits();
+  if (!seen.insert(record.key).second) {
+    flag(Code::artifact_entry, "duplicate key 0x" + hex);
+  }
+  record.canon = npn::canonize(f);
+  // v2 keys are representatives; anything else would make lookups of the
+  // class miss the line.
+  if (class_keyed && !(record.canon.representative == f)) {
+    flag(Code::artifact_not_canonical,
+         "key 0x" + hex + " is not a class representative (canonizes to 0x" +
+             record.canon.representative.to_hex() + ")");
+  }
+
+  if (status == "ok") {
+    std::string rest;
+    std::getline(ls, rest);
+    try {
+      record.chain = exact::MigChain::from_string(rest);
+    } catch (const std::exception&) {
+      flag(Code::artifact_entry, "unparsable chain for 0x" + hex);
+      return std::nullopt;
+    }
+    if (record.chain->num_vars != 5 || !(record.chain->simulate() == f)) {
+      flag(Code::artifact_entry, "chain does not realize key 0x" + hex);
+      return std::nullopt;
+    }
+    // The line must be exactly the chain's canonical serialization, so the
+    // file round-trips bit-identically.
+    const auto start = rest.find_first_not_of(' ');
+    if (start == std::string::npos || rest.substr(start) != record.chain->to_string()) {
+      flag(Code::artifact_not_canonical,
+           "chain for 0x" + hex + " is not in canonical serialization");
+    }
+  } else if (status == "fail") {
+    std::string extra;
+    if (ls >> extra) {
+      flag(Code::artifact_entry, "trailing tokens after failure record for 0x" + hex);
+    }
+    // A failure is retried under any strictly larger budget, with -1 ranking
+    // above every finite value; a budget below -1 would rank as -1 and freeze
+    // the class unanswered for good.
+    if (record.budget < -1) {
+      flag(Code::artifact_budget, "failure for 0x" + hex + " recorded under budget " +
+                                      std::to_string(record.budget) +
+                                      " (must be -1 or >= 0)");
+    }
+  } else {
+    flag(Code::artifact_entry, "unknown status " + quoted(status) + " for 0x" + hex);
+  }
+  if (report.diagnostics.size() != findings) return std::nullopt;
+  return record;
+}
+
+}  // namespace
+
+CacheFile read_cache_file(std::istream& is, bool all_diagnostics) {
+  CacheFile file;
+  std::string header;
+  std::getline(is, header);
+  std::istringstream hs(header);
+  std::string magic, version;
+  size_t count = 0;
+  if (!(hs >> magic >> version >> count) || magic != kCacheMagic ||
+      (version != kCacheVersion && version != kCacheVersionV1)) {
+    file.report.add(check::Code::artifact_header, 1, "bad header: " + quoted(header));
+    return file;
+  }
+  file.class_keyed = version == kCacheVersion;
+  // The header count is itself unvalidated input, so the reserve is clamped:
+  // a garbage count must produce a diagnostic, not a petabyte reserve.
+  file.records.reserve(std::min<size_t>(count, 1u << 16));
+
+  std::unordered_set<uint64_t> seen;
+  size_t lines = 0;
+  std::string line;
+  for (uint32_t line_number = 2; std::getline(is, line); ++line_number) {
+    if (line.empty()) continue;
+    ++lines;
+    auto record = read_cache_line(line, line_number, file.class_keyed, seen, file.report);
+    if (record) {
+      file.records.push_back(std::move(*record));
+    } else if (!all_diagnostics) {
+      return file;
+    }
+  }
+  if (lines != count) {
+    file.report.add(check::Code::artifact_header, 1,
+                    "header promises " + std::to_string(count) + " entries, file has " +
+                        std::to_string(lines));
+  }
+  return file;
 }
 
 }  // namespace mighty::opt

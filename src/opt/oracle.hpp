@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "check/report.hpp"
 #include "exact/database.hpp"
 #include "mig/mig.hpp"
 #include "npn/npn.hpp"
@@ -138,10 +139,9 @@ public:
   };
 
   /// Merges the cache file at `path` into the in-memory class store.  The
-  /// file is validated wholesale before any merge (bad magic/version, a
-  /// malformed or duplicate line, a count mismatch, a chain that does not
-  /// realize its function, or — in v2 — a key that is not its own NPN
-  /// representative reject the file without touching the store).  v1 lines
+  /// file is read and validated wholesale by read_cache_file before any
+  /// merge: any error it reports rejects the file without touching the
+  /// store (check::lint_cache_file prints the same findings).  v1 lines
   /// are migrated to their classes first, merging lines of one class by the
   /// rules below in file order.  Merge semantics: unknown classes are
   /// adopted; a success on disk replaces an in-memory failure (never the
@@ -271,5 +271,29 @@ private:
   std::atomic<uint64_t> answered_{0};
   std::atomic<uint64_t> cache5_hits_{0};
 };
+
+// --- the 5-input cache file ---------------------------------------------------
+
+/// One line of a cache file that passed every check.
+struct CacheRecord {
+  uint64_t key = 0;        ///< the 5-input function the line is filed under
+  npn::CanonResult canon;  ///< its NPN class and canonizing transform
+  std::optional<exact::MigChain> chain;  ///< nullopt: a failure record
+  int64_t budget = 0;      ///< conflict budget in force (-1 = unlimited)
+  uint64_t conflicts = 0;  ///< solver effort spent
+};
+
+struct CacheFile {
+  bool class_keyed = true;  ///< v2 keys representatives; v1 raw functions
+  std::vector<CacheRecord> records;  ///< file order
+  /// Findings, `node` = 1-based file line; error-free exactly when the
+  /// file is well formed, in which case `records` holds every line.
+  check::CheckReport report;
+};
+
+/// The one reader of the file save_cache writes; check::lint_cache lists
+/// what it reports.  Without `all_diagnostics` the read stops at the first
+/// error, so a huge corrupt file costs no more than its well-formed prefix.
+CacheFile read_cache_file(std::istream& is, bool all_diagnostics);
 
 }  // namespace mighty::opt

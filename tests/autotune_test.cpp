@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
 #include "api/error.hpp"
@@ -82,6 +83,21 @@ TEST(AutotuneTest, RejectsMalformedInputs) {
   bad_vocabulary.vocabulary = {"TF", "frob"};
   EXPECT_THROW(Autotuner(session, bad_vocabulary).tune(small_corpus()),
                std::invalid_argument);
+
+  // A vocabulary entry is one pass word: a whole script would be inserted
+  // as one "word" and slip past max_words.
+  for (const char* entry : {"TF;BF;size;depth", "(TF)", "BF*2", ""}) {
+    TuneParams script_vocabulary = small_params();
+    script_vocabulary.vocabulary = {"TF", entry};
+    try {
+      Autotuner(session, script_vocabulary).tune(small_corpus());
+      ADD_FAILURE() << "vocabulary entry \"" << entry << "\" accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find('"' + std::string(entry) + '"'),
+                std::string::npos)
+          << e.what();
+    }
+  }
 
   // Oversized counts in a seed script fail as "too large" — never wrap, and
   // never stop mid-number with a misleading error (mirrors the main parser).
@@ -271,6 +287,88 @@ TEST(AutotuneTest, NonDefaultRoundCapAppliesToBaselineToo) {
   EXPECT_EQ(count_script("(TF;BFD;size)*<2"), 1);
   EXPECT_EQ(count_script("(TF;BFD;size)*"), 0)
       << "baseline evaluated at the 16-round default despite the cap";
+}
+
+// --- golden search ------------------------------------------------------------
+
+/// Formats a finished search in the golden table's syntax, so a mismatch
+/// prints the actual values ready to paste.
+std::string format_search(const TuneReport& report) {
+  std::string out;
+  char line[256];
+  for (const auto& e : report.evaluated) {
+    std::snprintf(line, sizeof(line), "    {\"%s\", %u, %llu, %llu},\n",
+                  e.script.c_str(), e.size,
+                  static_cast<unsigned long long>(e.depth),
+                  static_cast<unsigned long long>(e.objective));
+    out += line;
+  }
+  std::snprintf(line, sizeof(line),
+                "candidates %zu, duplicates %zu, invalid %zu, evaluations %zu\n",
+                report.candidates_generated, report.duplicates_pruned,
+                report.invalid_rejected, report.evaluations);
+  return out + line;
+}
+
+struct GoldenEntry {
+  const char* script;
+  uint32_t size;
+  uint64_t depth;
+  uint64_t objective;
+};
+
+struct GoldenSearch {
+  std::vector<GoldenEntry> evaluated;
+  size_t candidates_generated, duplicates_pruned, invalid_rejected, evaluations;
+};
+
+void expect_search(const TuneReport& report, const GoldenSearch& golden) {
+  TuneReport expected;
+  for (const auto& e : golden.evaluated) {
+    expected.evaluated.push_back({e.script, e.size, e.depth, e.objective, 0.0, false});
+  }
+  expected.candidates_generated = golden.candidates_generated;
+  expected.duplicates_pruned = golden.duplicates_pruned;
+  expected.invalid_rejected = golden.invalid_rejected;
+  expected.evaluations = golden.evaluations;
+  EXPECT_EQ(format_search(report), format_search(expected));
+}
+
+TEST(AutotuneGoldenTest, DefaultSeedsSearch) {
+  // Pins the whole search: a change to how seeds and parents are parsed,
+  // mutated or canonicalized shows up as a different row or counter.
+  auto session = make_session();
+  TuneReport report;
+  Autotuner(session, small_params()).tune(small_corpus(), &report);
+  expect_search(report, {{
+                             {"(TF;BF;size)*", 247, 27, 247},
+                             {"BF;size", 247, 26, 247},
+                             {"(TF;BFD;size)*", 248, 22, 248},
+                         },
+                         10, 1, 0, 14});
+}
+
+TEST(AutotuneGoldenTest, SpelledSeedsSearch) {
+  // Seeds written the way users type them: padding, upper case, redundant
+  // parentheses, a zero-padded LUT size and a 5-input word.
+  auto session = make_session();
+  TuneParams params = small_params();
+  params.population = 8;
+  params.generations = 2;
+  params.seed_scripts = {"  TF ;  ( BFD ; SIZE )*  ", "((TF5)) ; size",
+                         "Depth; (tf)*2; map06", "(( BF ));(Size)*<3"};
+  TuneReport report;
+  Autotuner(session, params).tune(small_corpus(), &report);
+  expect_search(report, {{
+                             {"(TF5;BFD)*", 241, 22, 241},
+                             {"TF5", 243, 23, 243},
+                             {"TF5*;size", 243, 23, 243},
+                             {"TF5;BFD", 243, 22, 243},
+                             {"TF5;size", 243, 23, 243},
+                             {"(TF;BF;size)*", 247, 27, 247},
+                             {"(TF;BFD;size)*", 248, 22, 248},
+                         },
+                         20, 5, 0, 30});
 }
 
 // --- objectives ---------------------------------------------------------------

@@ -253,6 +253,42 @@ TEST(BatchFlowTest, FailedNetworkPassesThroughAndOthersComplete) {
   }
 }
 
+/// A pass with a bug: its output's PO 0 points past the last node.
+class CorruptingPass final : public Pass {
+public:
+  std::string name() const override { return "corrupt"; }
+  mig::Mig run(const mig::Mig& mig, Session&, FlowReport&) const override {
+    mig::Mig out = mig;
+    out.replace_output(0, mig::Signal(out.num_nodes(), false));
+    return out;
+  }
+  std::unique_ptr<Pass> clone() const override {
+    return std::make_unique<CorruptingPass>();
+  }
+};
+
+TEST(BatchFlowTest, BetweenPassCheckRunsOnEveryBatchPass) {
+  // The session's check level holds for batch runs exactly as for
+  // Pipeline::run: the corrupt network never reaches the report.
+  const Corpus& corpus = small_corpus();
+  Pipeline pipeline;
+  pipeline.add(std::make_unique<CorruptingPass>());
+  for (const uint32_t threads : {1u, 4u}) {
+    auto session = make_session(threads);
+    session.set_check_level(CheckLevel::full);
+    BatchReport report;
+    const auto results = BatchRunner(session).run(corpus, pipeline, &report);
+    EXPECT_EQ(report.failures(), corpus.size());
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      EXPECT_NE(report.networks[i].error.find(
+                    "invariant check failed after pass 'corrupt'"),
+                std::string::npos)
+          << corpus[i].name << ": " << report.networks[i].error;
+      EXPECT_EQ(to_blif(results[i]), to_blif(corpus[i].mig)) << corpus[i].name;
+    }
+  }
+}
+
 // --- corpus-wide oracle sharing ----------------------------------------------
 
 TEST(BatchFlowTest, SharedOracleAmortizesSynthesisAcrossNetworks) {

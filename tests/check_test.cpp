@@ -439,9 +439,32 @@ TEST_F(CacheLintTest, ChainMustBeCanonicallySerialized) {
 TEST_F(CacheLintTest, FrozenFailureBudget) {
   const auto report = lint(
       "mighty-mig-5cut-cache v1 1\n"
-      "0000ffff fail 0 5\n");  // budget 0: failure that never ran the solver
+      "0000ffff fail -5 5\n");  // ranks as -1: the class would never be retried
   ASSERT_TRUE(report.has(Code::artifact_budget)) << report.summary();
   EXPECT_EQ(report.find(Code::artifact_budget)->node, 2u);
+}
+
+TEST_F(CacheLintTest, OracleWrittenZeroBudgetFailureLintsClean) {
+  // A session with conflict limit 0 records its timeouts under budget 0.
+  // Any larger budget retries them, so the file it saves is well formed:
+  // the lint and a fresh loader must both accept it.
+  const exact::Database empty_db;
+  opt::OracleParams params;
+  params.synthesis_conflict_limit = 0;
+  opt::ReplacementOracle oracle(empty_db, params);
+  EXPECT_FALSE(oracle.query(tt::TruthTable::from_hex(5, "036dd82e")).has_value());
+  const auto path = (scratch.dir / "budget0.cache").string();
+  ASSERT_EQ(oracle.save_cache(path), 1u);
+  std::ifstream saved(path);
+  std::stringstream text;
+  text << saved.rdbuf();
+  EXPECT_NE(text.str().find("036dd82e fail 0 "), std::string::npos) << text.str();
+
+  const auto report = lint_cache_file(path);
+  EXPECT_TRUE(report.diagnostics.empty()) << report.summary();
+  opt::ReplacementOracle fresh(empty_db);
+  EXPECT_EQ(fresh.load_cache(path).status,
+            opt::ReplacementOracle::CacheLoadStatus::loaded);
 }
 
 TEST_F(CacheLintTest, TrailingTokensAfterFailure) {

@@ -44,6 +44,18 @@ TEST(ChainTest, SerializationRoundTrip) {
   EXPECT_EQ(back, chain);
 }
 
+TEST(ChainTest, ParsingRejectsChainsItCannotSimulate) {
+  // Three inputs: step 0 sees refs 0..3, so ref 4 (literal 8) is step 0
+  // itself; the output of a one-step chain may name refs 0..4.
+  EXPECT_NO_THROW(MigChain::from_string("3 1 8 2 5 6"));
+  EXPECT_THROW(MigChain::from_string("3 1 8 2 5 8"), std::runtime_error);
+  EXPECT_THROW(MigChain::from_string("3 1 10 2 5 6"), std::runtime_error);
+  EXPECT_THROW(MigChain::from_string("3 0 8"), std::runtime_error);
+  // Truth tables stop at six variables.
+  EXPECT_NO_THROW(MigChain::from_string("6 0 2"));
+  EXPECT_THROW(MigChain::from_string("7 0 2"), std::runtime_error);
+}
+
 TEST(ChainTest, InstantiateMatchesSimulation) {
   // Chain for <x1 !x2 x3>.
   MigChain chain;

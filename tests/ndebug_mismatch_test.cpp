@@ -4,6 +4,8 @@
 // the library exports that choice on its CMake target, so a consumer built
 // with a different NDEBUG must still see the library's Mutex: a threads=2
 // session runs, where a guessed layout aborts inside the session's pool.
+// The same holds for Session's default check level: the library picks it,
+// whichever constructor the consumer calls.
 #ifdef NDEBUG
 #undef NDEBUG
 #else
@@ -28,6 +30,12 @@ TEST(NdebugMismatchTest, SessionRunsWithTheLibraryMutexLayout) {
   EXPECT_EQ(report.passes.size(), 2u);
   EXPECT_GT(out.count_live_gates(), 0u);
   EXPECT_LE(out.count_live_gates(), report.size_before);
+}
+
+TEST(NdebugMismatchTest, EveryConstructorGetsTheLibraryCheckLevel) {
+  const Session by_params;
+  const Session with_database{exact::Database{}};
+  EXPECT_EQ(by_params.check_level(), with_database.check_level());
 }
 
 }  // namespace

@@ -13,10 +13,11 @@
 //
 // With --lint the deep artifact linters (check/check.hpp) run on top: the
 // database entries are re-checked for canonical-form keys, realizing chains
-// and the Theorem-2 size bound, and a --cache file gets per-line diagnostics
-// (canonical chain serialization, v2 representative keys, budget
-// monotonicity, sorted keys) instead of the loader's wholesale
-// accept/reject.  Lint warnings are printed but only errors fail the run.
+// and the Theorem-2 size bound, and a --cache file gets the per-line
+// diagnostics of the one cache-file reader the loader also runs (so the
+// lint finds an error exactly when the load above rejects the file) plus a
+// sorted-keys warning.  Lint warnings are printed but only errors fail the
+// run.
 
 #include <cstdio>
 #include <cstring>
