@@ -91,7 +91,7 @@ struct ServiceStats {
   uint64_t cache_entries = 0;
   uint64_t cache_dirty = 0;
 
-  uint32_t threads = 0;      ///< session parallelism (shards within a job)
+  uint32_t threads = 0;      ///< session parallelism (regions within a job)
   uint32_t job_workers = 0;  ///< concurrent jobs
 };
 

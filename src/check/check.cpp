@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "exact/chain.hpp"
+#include "mig/shard.hpp"
 #include "npn/npn.hpp"
 #include "tt/truth_table.hpp"
 
@@ -68,7 +69,11 @@ std::vector<bool> recompute_live(const MigView& view) {
 }
 
 std::string signal_str(mig::Signal s) {
-  return (s.is_complemented() ? "!" : "") + std::to_string(s.index());
+  // Appending (not `const char* + std::string`) also sidesteps a GCC 12
+  // -Wrestrict false positive in the inlined string insert.
+  std::string out = s.is_complemented() ? "!" : "";
+  out += std::to_string(s.index());
+  return out;
 }
 
 }  // namespace
@@ -139,10 +144,6 @@ const char* code_name(Code code) {
     case Code::region_root_not_root: return "region_root_not_root";
     case Code::region_roots_not_topological: return "region_roots_not_topological";
     case Code::region_membership_broken: return "region_membership_broken";
-    case Code::shard_overlap: return "shard_overlap";
-    case Code::shard_incomplete: return "shard_incomplete";
-    case Code::shard_not_sorted: return "shard_not_sorted";
-    case Code::shard_foreign_node: return "shard_foreign_node";
     case Code::wave_order_broken: return "wave_order_broken";
     case Code::report_rollup_mismatch: return "report_rollup_mismatch";
     case Code::report_pass_inconsistent: return "report_pass_inconsistent";
@@ -319,9 +320,6 @@ CheckReport validate_at(const mig::Mig& m, bool full) {
   const auto partition = ffr::compute_ffrs(m);
   report.merge(validate_partition(m, partition));
   if (!report.ok()) return report;
-  // A small non-trivial shard count exercises the balancing path the
-  // shard-parallel passes take without demanding real parallelism.
-  report.merge(validate_shard_plan(m, partition, shard::plan_ffr_shards(m, partition, 4)));
   report.merge(validate_wave_order(m, partition, shard::region_levels(m, partition)));
   return report;
 }
@@ -407,81 +405,6 @@ CheckReport validate_partition(const mig::Mig& m, const ffr::FfrPartition& parti
                        " but belongs to region " +
                        std::to_string(partition.region_root[fi]));
       }
-    }
-  }
-  return report;
-}
-
-// --- shard plans -------------------------------------------------------------
-
-CheckReport validate_shard_plan(const mig::Mig& m, const ffr::FfrPartition& partition,
-                                const shard::ShardPlan& plan) {
-  CheckReport report;
-  const uint32_t n = m.num_nodes();
-  if (partition.region_root.size() != n) {
-    report.add(Code::region_root_out_of_range, kNoNode,
-               "partition does not match the network");
-    return report;
-  }
-
-  std::vector<uint32_t> owner(n, kNoNode);
-  for (uint32_t s = 0; s < plan.shards.size(); ++s) {
-    const auto& sh = plan.shards[s];
-    for (uint32_t i = 0; i + 1 < sh.roots.size(); ++i) {
-      if (sh.roots[i] >= sh.roots[i + 1]) {
-        report.add(Code::shard_not_sorted, s,
-                   "shard " + std::to_string(s) + " roots not strictly ascending");
-        break;
-      }
-    }
-    for (uint32_t i = 0; i + 1 < sh.nodes.size(); ++i) {
-      if (sh.nodes[i] >= sh.nodes[i + 1]) {
-        report.add(Code::shard_not_sorted, s,
-                   "shard " + std::to_string(s) + " nodes not strictly ascending");
-        break;
-      }
-    }
-    std::unordered_set<uint32_t> roots(sh.roots.begin(), sh.roots.end());
-    for (const uint32_t node : sh.nodes) {
-      if (node >= n) {
-        report.add(Code::shard_foreign_node, node,
-                   "shard " + std::to_string(s) + " references node " +
-                       std::to_string(node) + " of " + std::to_string(n));
-        continue;
-      }
-      if (owner[node] != kNoNode) {
-        report.add(Code::shard_overlap, node,
-                   "node in shard " + std::to_string(owner[node]) + " and shard " +
-                       std::to_string(s));
-        continue;
-      }
-      owner[node] = s;
-      if (!m.is_gate(node)) {
-        report.add(Code::shard_foreign_node, node,
-                   "shard " + std::to_string(s) + " contains a terminal");
-      } else if (roots.count(partition.region_root[node]) == 0) {
-        // A shard is a group of whole regions: every member's region root
-        // must be one of the shard's roots.
-        report.add(Code::shard_foreign_node, node,
-                   "member of region " + std::to_string(partition.region_root[node]) +
-                       " whose root is not in shard " + std::to_string(s));
-      }
-    }
-    for (const uint32_t r : sh.roots) {
-      if (r < n && owner[r] != s) {
-        report.add(Code::shard_foreign_node, r,
-                   "shard " + std::to_string(s) + " lists root " + std::to_string(r) +
-                       " without its node");
-      }
-    }
-  }
-
-  // Completeness: every output-reachable gate belongs to exactly one shard
-  // (dead regions are deliberately not planned).
-  const auto live = m.live_mask();
-  for (uint32_t node = 0; node < n; ++node) {
-    if (live[node] && m.is_gate(node) && owner[node] == kNoNode) {
-      report.add(Code::shard_incomplete, node, "live gate missing from every shard");
     }
   }
   return report;

@@ -11,15 +11,14 @@
 #include "flow/pass.hpp"
 #include "mig/ffr.hpp"
 #include "mig/mig.hpp"
-#include "mig/shard.hpp"
 #include "opt/oracle.hpp"
 
 /// \file check.hpp
 /// \brief Structural invariant validation for every layer of the engine.
 ///
 /// The rewriting loop is only sound while every intermediate network stays a
-/// well-formed MIG; the shard-parallel passes are only deterministic while
-/// every plan stays a disjoint, complete, wave-ordered cover; the CI gates
+/// well-formed MIG; the region-parallel passes are only deterministic while
+/// the FFR partition stays sound and its regions wave-ordered; the CI gates
 /// are only meaningful while every report's roll-up matches its trajectory.
 /// This module states those invariants once, as executable checks with
 /// precise diagnostics, so that
@@ -76,20 +75,14 @@ CheckReport validate(const mig::Mig& m);
 
 /// What the flow's between-pass hook runs: validate_structure only when
 /// `full` is false (O(nodes), cheap enough after every pass of a Debug test
-/// run), otherwise validate() plus a fresh FFR partition, shard plan and
-/// wave ordering validated end to end.
+/// run), otherwise validate() plus a fresh FFR partition and its region wave
+/// ordering validated end to end.
 CheckReport validate_at(const mig::Mig& m, bool full);
 
 /// FFR partition invariants: roots marked and topologically ordered, every
 /// node's region root in range and marked, non-root members reaching their
 /// root without crossing another root.
 CheckReport validate_partition(const mig::Mig& m, const ffr::FfrPartition& partition);
-
-/// Shard plan invariants: shards pairwise disjoint, together covering every
-/// output-reachable gate, each shard's roots/nodes ascending, and every
-/// shard node's region root grouped into the same shard.
-CheckReport validate_shard_plan(const mig::Mig& m, const ffr::FfrPartition& partition,
-                                const shard::ShardPlan& plan);
 
 /// Wave ordering: for every live gate, any fanin in a *different* live
 /// region must come from a region of strictly smaller level — the property

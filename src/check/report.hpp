@@ -38,11 +38,7 @@ enum class Code {
   region_roots_not_topological,  ///< roots list not ascending (= topological)
   region_membership_broken,  ///< member's fanout leaves the region before the
                              ///< root, or a root maps to a different region
-  // --- shard plan invariants (validate_shard_plan) ---
-  shard_overlap,      ///< a node appears in two shards (plans must be disjoint)
-  shard_incomplete,   ///< a live gate missing from every shard
-  shard_not_sorted,   ///< a shard's roots/nodes not ascending (= topological)
-  shard_foreign_node, ///< a shard node whose region root is not in the shard
+  // --- wave schedule (validate_wave_order) ---
   wave_order_broken,  ///< a region at level L fed by a region at level >= L
   // --- flow report accounting (validate_report / validate_tally) ---
   report_rollup_mismatch,   ///< totals differ from the per-pass sums
@@ -69,7 +65,7 @@ inline constexpr uint32_t kNoNode = std::numeric_limits<uint32_t>::max();
 struct Diagnostic {
   Code code;
   Severity severity = Severity::error;
-  /// Node index, shard index, pass index, or 1-based file line — whichever
+  /// Node index, pass index, or 1-based file line — whichever
   /// the validator's context documents; kNoNode when not applicable.
   uint32_t node = kNoNode;
   std::string message;

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "util/atomic_file.hpp"
+#include "util/bounded_line.hpp"
 #include "util/clock.hpp"
 
 namespace mighty::exact {
@@ -56,7 +57,7 @@ std::optional<Database> Database::load(const std::string& path) {
 
 std::optional<Database> Database::load(std::istream& is) {
   std::string header;
-  std::getline(is, header);
+  if (util::read_bounded_line(is, header) != util::LineRead::ok) return std::nullopt;
   std::istringstream hs(header);
   std::string magic, version;
   size_t count = 0;
@@ -66,7 +67,10 @@ std::optional<Database> Database::load(std::istream& is) {
   }
   Database db;
   std::string line;
-  while (std::getline(is, line)) {
+  for (;;) {
+    const util::LineRead read = util::read_bounded_line(is, line);
+    if (read == util::LineRead::end) break;
+    if (read == util::LineRead::too_long) return std::nullopt;
     if (line.empty()) continue;
     std::istringstream ls(line);
     std::string hex;
@@ -120,7 +124,7 @@ Database::LookupResult Database::lookup(const tt::TruthTable& f) const {
     }
   }
   // Canonize outside the lock: it is pure, and it dominates the miss cost.
-  // Two shards missing on the same function both compute the same result;
+  // Two tasks missing on the same function both compute the same result;
   // emplace keeps the first and the duplicate is discarded.
   auto canon = npn::canonize(f4);
   const auto it = index_.find(canon.representative.bits());

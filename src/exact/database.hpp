@@ -105,7 +105,7 @@ private:
   std::unordered_map<uint64_t, size_t> index_;  ///< representative bits -> entry
   /// Canonization memo: cut functions repeat massively during rewriting, so
   /// lookups cache the full result keyed by the query's bits.  Lookups are
-  /// the hottest operation of every rewriting shard, so the memo is striped:
+  /// the hottest operation of every rewriting task, so the memo is striped:
   /// each stripe guards its own map, canonization happens outside any lock
   /// (it is pure), and a racing duplicate insert is harmlessly dropped by
   /// emplace.  Results are returned by value, never by reference into a map.

@@ -57,7 +57,7 @@ std::vector<mig::Mig> BatchRunner::run(const Corpus& corpus, const Pipeline& pip
 
   // Two-level scheduling: each (network, pass) unit is one task, and a
   // finished pass enqueues its network's next pass — so up to `threads`
-  // networks are in flight, and a pass's own FFR shards fan out over the
+  // networks are in flight, and a pass's own FFR regions fan out over the
   // same pool underneath.  At parallelism 1 the group runs every task inline
   // at submit, so networks run to completion in corpus order.
   util::ThreadPool::TaskGroup group(session_.pool());

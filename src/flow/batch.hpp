@@ -18,8 +18,8 @@
 ///     Every network starts with its first top-level pass queued; finishing
 ///     pass i enqueues pass i+1 of the same network, so many networks are in
 ///     flight at once and short networks never wait for long ones.
-///   * inner level — each pass still fans out over FFR shards through the
-///     very same util::ThreadPool (the shard-parallel drivers of PR 2),
+///   * inner level — each pass still fans out over FFR regions through the
+///     very same util::ThreadPool,
 ///     soaking up idle workers whenever fewer networks than threads remain.
 ///
 /// The session's ReplacementOracle — including the 5-input synthesis cache —

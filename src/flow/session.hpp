@@ -31,7 +31,7 @@ namespace mighty::flow {
 /// How much invariant checking Pipeline::run_into performs between passes
 /// (see check/check.hpp).  `fast` runs the O(nodes) structural validation of
 /// every intermediate network; `full` additionally re-derives levels/fanouts/
-/// live counts and validates a fresh FFR partition, shard plan and wave
+/// live counts and validates a fresh FFR partition and its region wave
 /// order.  A failed check throws std::logic_error naming the offending pass.
 enum class CheckLevel { off, fast, full };
 
@@ -54,8 +54,8 @@ struct SessionParams {
   /// once per BatchRunner::run, and automatically on session destruction —
   /// so a later process warm-starts where this one left off.
   std::string oracle_cache_path;
-  /// Parallelism for shard-parallel passes (1 = everything inline).  The
-  /// sharded FFR passes produce bit-identical networks for every value;
+  /// Parallelism for region-parallel passes (1 = everything inline).  The
+  /// FFR passes produce bit-identical networks for every value;
   /// Session::set_threads() changes it later.
   uint32_t threads = 1;
 };
@@ -156,8 +156,8 @@ public:
   void set_check_level(CheckLevel level) { check_level_ = level; }
   CheckLevel check_level() const { return check_level_; }
 
-  /// Pool for shard-parallel passes: nullptr at parallelism 1, so passes
-  /// take the inline path (the same sharded algorithms, which keeps
+  /// Pool for region-parallel passes: nullptr at parallelism 1, so passes
+  /// take the inline path (the same per-region algorithms, which keeps
   /// `threads=N` bit-identical to `threads=1`) without materializing a pool.
   util::ThreadPool* worker_pool() { return threads() > 1 ? &pool() : nullptr; }
 

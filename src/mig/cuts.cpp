@@ -55,21 +55,23 @@ Cut trivial_cut(uint32_t node) {
   return c;
 }
 
-/// The merge kernel shared by global and shard-scoped enumeration: builds
-/// gate n's cut set into `out` from its fanins' sets.  `forced_leaf(f)`
-/// decides which fanins contribute only their trivial cut — the single
-/// point where the two enumeration modes differ, kept as a predicate so the
-/// kernels cannot drift apart (sharded cut sets must stay bit-identical to
-/// global ones for the same boundary).
-template <typename ForcedLeaf>
-void build_node_cuts(const mig::Mig& mig, const CutEnumerationParams& params,
-                     uint32_t n, ForcedLeaf&& forced_leaf,
-                     const std::vector<std::vector<Cut>>& sets,
-                     std::vector<Cut>& out) {
+/// True for the fanins that contribute only their trivial cut: PIs and
+/// boundary nodes.  Global and scoped enumeration share this one predicate,
+/// so their cut sets cannot drift apart.
+bool is_leaf(const mig::Mig& mig, const CutEnumerationParams& params, uint32_t f) {
+  return mig.is_pi(f) || (params.boundary != nullptr && f < params.boundary->size() &&
+                          (*params.boundary)[f]);
+}
+
+/// The merge kernel shared by global and scoped enumeration: builds gate n's
+/// cut set into `out` from its fanins' sets, reading `sets` only for gate
+/// fanins that are not leaves.
+void build_node_cuts(const mig::Mig& mig, const CutEnumerationParams& params, uint32_t n,
+                     const std::vector<std::vector<Cut>>& sets, std::vector<Cut>& out) {
   auto fanin_set = [&](mig::Signal s) -> std::vector<Cut> {
     const uint32_t f = s.index();
     if (mig.is_constant(f)) return {Cut{}};  // empty cut: paths exempt
-    if (forced_leaf(f)) return {trivial_cut(f)};
+    if (is_leaf(mig, params, f)) return {trivial_cut(f)};
     return sets[f];
   };
   const auto& f = mig.fanins(n);
@@ -103,17 +105,12 @@ std::vector<std::vector<Cut>> enumerate_cuts(const mig::Mig& mig,
   // The constant node contributes the empty cut, so that paths to it are
   // exempt from the covering requirement.
   sets[mig::Mig::constant_node] = {Cut{}};
-
-  auto boundary_leaf = [&](uint32_t f) {
-    return params.boundary != nullptr && f < params.boundary->size() &&
-           (*params.boundary)[f];
-  };
   for (uint32_t n = 1; n < mig.num_nodes(); ++n) {
     if (mig.is_pi(n)) {
       sets[n] = {trivial_cut(n)};
       continue;
     }
-    build_node_cuts(mig, params, n, boundary_leaf, sets, sets[n]);
+    build_node_cuts(mig, params, n, sets, sets[n]);
   }
   return sets;
 }
@@ -123,20 +120,10 @@ void enumerate_cuts_scoped(const mig::Mig& mig, const CutEnumerationParams& para
                            std::vector<std::vector<Cut>>& sets) {
   MIGHTY_ASSERT(params.cut_size <= Cut::max_size);
   MIGHTY_ASSERT(sets.size() == mig.num_nodes());
-  std::vector<bool> in_scope(mig.num_nodes(), false);
-  for (const uint32_t n : scope) in_scope[n] = true;
-
-  // Leaf decisions must never read another shard's slots: out-of-scope
-  // fanins are cut off by value, exactly as the boundary mask would.
-  auto forced_leaf = [&](uint32_t f) {
-    return !in_scope[f] ||
-           (params.boundary != nullptr && f < params.boundary->size() &&
-            (*params.boundary)[f]);
-  };
   for (const uint32_t n : scope) {
     MIGHTY_ASSERT(mig.is_gate(n));
     sets[n].clear();
-    build_node_cuts(mig, params, n, forced_leaf, sets, sets[n]);
+    build_node_cuts(mig, params, n, sets, sets[n]);
   }
 }
 

@@ -56,8 +56,8 @@ struct CutEnumerationParams {
   /// merged upward; the optimizer skips trivial cuts at replacement time).
   bool include_trivial = true;
   /// Optional mask of nodes that must not appear as cut-internal nodes: when
-  /// such a node feeds a gate, only its trivial cut propagates upward.  Used
-  /// to confine cuts to fanout-free regions (paper Sec. IV-C).
+  /// such a node feeds a gate, only its trivial cut propagates upward, as a
+  /// PI's does.  Used to confine cuts to fanout-free regions (paper Sec. IV-C).
   const std::vector<bool>* boundary = nullptr;
 };
 
@@ -66,14 +66,17 @@ struct CutEnumerationParams {
 std::vector<std::vector<Cut>> enumerate_cuts(const mig::Mig& mig,
                                              const CutEnumerationParams& params = {});
 
-/// Shard-scoped enumeration: computes cut sets for exactly the gates in
+/// Region-scoped enumeration: computes cut sets for exactly the gates in
 /// `scope` (ascending node ids), writing each gate's set into `sets[gate]`.
-/// Fanins outside the scope — and boundary nodes inside it — contribute only
-/// their trivial cut (the constant node its empty cut), so a scope that is a
-/// union of whole fanout-free regions reproduces, for its own nodes, exactly
-/// what enumerate_cuts would compute over the full network with the same
-/// boundary.  `sets` must be sized to mig.num_nodes(); concurrent calls over
-/// disjoint scopes may share it, since each call touches only its own slots.
+/// Leaves are decided as in enumerate_cuts (PIs and boundary nodes; the
+/// constant contributes its empty cut), and every other gate fanin must be in
+/// `scope`.  A fanout-free region's members under the ffr_boundary mask meet
+/// that: a non-root gate's single fanout lies in its own region, so every
+/// gate feeding a region from outside is another region's root.  For such a
+/// scope the sets equal what enumerate_cuts computes with the same boundary.
+/// The call does work only in proportion to its scope.  `sets` must be sized
+/// to mig.num_nodes(); concurrent calls over disjoint regions may share it,
+/// since each call reads and writes only its own slots.
 void enumerate_cuts_scoped(const mig::Mig& mig, const CutEnumerationParams& params,
                            const std::vector<uint32_t>& scope,
                            std::vector<std::vector<Cut>>& sets);

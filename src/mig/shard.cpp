@@ -3,60 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "util/thread_pool.hpp"
-
 namespace mighty::shard {
-
-uint32_t shard_count(const util::ThreadPool* pool) {
-  const uint32_t parallelism = pool != nullptr ? pool->parallelism() : 1;
-  return parallelism > 1 ? parallelism * 4 : 1;
-}
-
-ShardPlan plan_ffr_shards(const mig::Mig& mig, const ffr::FfrPartition& partition,
-                          uint32_t num_shards) {
-  if (num_shards == 0) num_shards = 1;
-  const auto live = mig.live_mask();
-
-  // Member gates per live region, keyed by root.  region_root is total on
-  // gates, so one sweep buckets everything; members come out ascending.
-  std::vector<uint32_t> live_roots;
-  std::vector<uint32_t> region_size(mig.num_nodes(), 0);
-  for (const uint32_t root : partition.roots) {
-    if (live[root]) live_roots.push_back(root);
-  }
-  for (uint32_t n = 0; n < mig.num_nodes(); ++n) {
-    if (mig.is_gate(n) && live[n]) ++region_size[partition.region_root[n]];
-  }
-
-  ShardPlan plan;
-  plan.shards.resize(std::min<size_t>(num_shards, std::max<size_t>(live_roots.size(), 1)));
-  if (live_roots.empty()) return plan;
-
-  // Greedy LPT: biggest regions first onto the least-loaded shard.  Ties are
-  // broken by (size, root) resp. shard index, so the plan is a deterministic
-  // function of the network alone.
-  std::vector<uint32_t> by_size = live_roots;
-  std::stable_sort(by_size.begin(), by_size.end(), [&](uint32_t a, uint32_t b) {
-    return region_size[a] != region_size[b] ? region_size[a] > region_size[b]
-                                            : a < b;
-  });
-  std::vector<uint64_t> load(plan.shards.size(), 0);
-  std::vector<uint32_t> shard_of_root(mig.num_nodes(), 0);
-  for (const uint32_t root : by_size) {
-    const size_t target =
-        std::min_element(load.begin(), load.end()) - load.begin();
-    shard_of_root[root] = static_cast<uint32_t>(target);
-    load[target] += region_size[root];
-    plan.shards[target].roots.push_back(root);
-  }
-  for (auto& shard : plan.shards) std::sort(shard.roots.begin(), shard.roots.end());
-
-  for (uint32_t n = 0; n < mig.num_nodes(); ++n) {
-    if (!mig.is_gate(n) || !live[n]) continue;
-    plan.shards[shard_of_root[partition.region_root[n]]].nodes.push_back(n);
-  }
-  return plan;
-}
 
 RegionMembers collect_region_members(const mig::Mig& mig,
                                      const ffr::FfrPartition& partition) {

@@ -7,57 +7,22 @@
 #include "mig/ffr.hpp"
 #include "mig/mig.hpp"
 
-namespace mighty::util {
-class ThreadPool;
-}
-
 /// \file shard.hpp
-/// \brief Balanced, disjoint shards of fanout-free regions.
+/// \brief Fanout-free regions as the units of parallel work.
 ///
 /// The paper partitions the MIG into fanout-free regions precisely so that
-/// functional hashing can treat them independently (Sec. IV-C); this planner
-/// turns that independence into units of parallel work.  A shard is a group
-/// of whole live FFRs: shards are pairwise disjoint, together cover every
-/// output-reachable gate, and keep each shard's node list in ascending (=
-/// topological) order so per-shard passes can run bottom-up sweeps locally.
+/// functional hashing can treat them independently (Sec. IV-C).  Every FFR
+/// pass turns that independence into one task per live region: the regions
+/// are disjoint, together cover every output-reachable gate, and each one's
+/// members are listed in ascending (= topological) order so a task can sweep
+/// its region bottom-up.  The thread pool hands the tasks out dynamically,
+/// which evens out skewed region sizes.
 ///
-/// The plan is a pure function of the network — region assignment uses
-/// deterministic greedy balancing, never thread identity — which is the
-/// foundation of the engine's `threads=N` == `threads=1` guarantee.
+/// Everything here is a pure function of the network, never of thread
+/// identity, which is the foundation of the engine's `threads=N` ==
+/// `threads=1` guarantee.
 
 namespace mighty::shard {
-
-struct Shard {
-  /// Roots of the regions grouped into this shard, ascending (= topological).
-  std::vector<uint32_t> roots;
-  /// Every gate of those regions (roots included), ascending (= topological).
-  std::vector<uint32_t> nodes;
-};
-
-struct ShardPlan {
-  std::vector<Shard> shards;
-
-  /// Total gates across all shards (= live gates of the partitioned network).
-  uint64_t total_nodes() const {
-    uint64_t total = 0;
-    for (const auto& shard : shards) total += shard.nodes.size();
-    return total;
-  }
-};
-
-/// Shard count for a pass running on `pool` (null: inline).  A few shards
-/// per thread lets the dynamic scheduler even out skewed region sizes; the
-/// plan never affects a pass's result.
-uint32_t shard_count(const util::ThreadPool* pool);
-
-/// Groups the live regions of `partition` into at most `num_shards` balanced
-/// shards (fewer when there are fewer live regions).  Balancing is greedy
-/// largest-region-first onto the least-loaded shard with deterministic
-/// tie-breaking; each shard's region set and node list come out sorted.
-/// Only regions whose root is output-reachable are planned: dead regions
-/// cannot influence the result network, so no pass should spend time there.
-ShardPlan plan_ffr_shards(const mig::Mig& mig, const ffr::FfrPartition& partition,
-                          uint32_t num_shards);
 
 /// Dense view of the live regions for per-region passes.
 struct RegionMembers {

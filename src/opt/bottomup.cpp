@@ -194,16 +194,13 @@ mig::Mig rewrite_bottom_up_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
   const auto boundary = ffr::ffr_boundary(partition);
   cut_params.boundary = &boundary;
   const auto levels = mig.compute_levels();
-  const auto plan =
-      shard::plan_ffr_shards(mig, partition, shard::shard_count(params.pool));
-
-  // Cut sets for every live gate, enumerated shard-parallel (disjoint slots).
-  std::vector<std::vector<cuts::Cut>> cut_sets(mig.num_nodes());
-  util::parallel_for(params.pool, plan.shards.size(), [&](size_t s) {
-    cuts::enumerate_cuts_scoped(mig, cut_params, plan.shards[s].nodes, cut_sets);
-  });
-
   const auto regions = shard::collect_region_members(mig, partition);
+
+  // Cut sets for every live gate, enumerated region-parallel (disjoint slots).
+  std::vector<std::vector<cuts::Cut>> cut_sets(mig.num_nodes());
+  util::parallel_for(params.pool, regions.members.size(), [&](size_t r) {
+    cuts::enumerate_cuts_scoped(mig, cut_params, regions.members[r], cut_sets);
+  });
   const auto& live_roots = regions.live_roots;
 
   // Wave schedule: regions grouped by dependency level.

@@ -10,6 +10,7 @@
 #include "exact/exact_synthesis.hpp"
 #include "opt/rewrite.hpp"
 #include "util/atomic_file.hpp"
+#include "util/bounded_line.hpp"
 
 namespace mighty::opt {
 
@@ -464,7 +465,7 @@ std::optional<CacheRecord> read_cache_line(const std::string& line, uint32_t lin
 CacheFile read_cache_file(std::istream& is, bool all_diagnostics) {
   CacheFile file;
   std::string header;
-  std::getline(is, header);
+  util::read_bounded_line(is, header);  // an over-long header fails to parse
   std::istringstream hs(header);
   std::string magic, version;
   size_t count = 0;
@@ -481,7 +482,16 @@ CacheFile read_cache_file(std::istream& is, bool all_diagnostics) {
   std::unordered_set<uint64_t> seen;
   size_t lines = 0;
   std::string line;
-  for (uint32_t line_number = 2; std::getline(is, line); ++line_number) {
+  for (uint32_t line_number = 2;; ++line_number) {
+    const util::LineRead read = util::read_bounded_line(is, line);
+    if (read == util::LineRead::end) break;
+    if (read == util::LineRead::too_long) {
+      // The rest of the line is unread, so nothing after it can be judged.
+      file.report.add(check::Code::artifact_entry, line_number,
+                      "line longer than " + std::to_string(util::kMaxArtifactLine) +
+                          " characters");
+      return file;
+    }
     if (line.empty()) continue;
     ++lines;
     auto record = read_cache_line(line, line_number, file.class_keyed, seen, file.report);

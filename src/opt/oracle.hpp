@@ -59,11 +59,11 @@
 /// Dirty-entry tracking lets save_cache skip the write when nothing changed
 /// since the last save/load.
 ///
-/// The oracle is shared by every shard of a parallel pass, so query() and
+/// The oracle is shared by every region task of a parallel pass, so query() and
 /// instantiate() are safe to call concurrently: both stores are striped,
 /// canonization and remapping run outside any lock, no thread ever holds two
 /// stripes, and synthesis runs under the class stripe's lock so a class is
-/// synthesized exactly once no matter how many shards race for its members.
+/// synthesized exactly once no matter how many regions race for its members.
 /// The accounting is atomic, and because answers are a pure function of the
 /// queried truth table, cache behavior and every counter are identical
 /// whether one thread queries or eight do.
@@ -75,7 +75,7 @@ namespace mighty::opt {
 /// that is handed one.  A pass (or one network of a batch run) owns a tally
 /// for exact attribution — global before/after snapshots would interleave
 /// arbitrarily once several networks mutate the shared counters concurrently.
-/// Atomic because a single pass already fans out over FFR shards.
+/// Atomic because a single pass already fans out over FFR regions.
 struct OracleTally {
   std::atomic<uint64_t> queries{0};
   std::atomic<uint64_t> answered{0};

@@ -51,7 +51,7 @@ struct RewriteParams {
   bool five_input_cuts = false;
   /// Worker pool for the fanout-free-region variants: their per-region
   /// analysis (cut enumeration, simulation, oracle queries, candidate
-  /// search) runs on balanced FFR shards concurrently, followed by a
+  /// search) runs one task per region concurrently, followed by a
   /// deterministic sequential merge — so the result is bit-identical for
   /// any pool size, including none.  Global variants ignore the pool (their
   /// cuts cross region boundaries and serialize).  Not owned.

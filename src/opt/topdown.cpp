@@ -17,10 +17,9 @@
 /// which nodes it may enter.  Global mode walks once from the outputs over
 /// every gate.  In FFR mode cuts are confined to fanout-free regions, so the
 /// plan chosen for a node depends only on its own region (plus the shared
-/// read-only oracle): the walk runs once per region from its root, on
-/// balanced shards of whole regions concurrently, and a deterministic
-/// sequential rebuild merges the plans — bit-identical for every thread
-/// count.  Global cuts cross region boundaries, so that mode has no disjoint
+/// read-only oracle): one task per live region enumerates its cuts and walks
+/// from its root, the tasks run concurrently, and a deterministic sequential
+/// rebuild merges the plans — bit-identical for every thread count.  Global cuts cross region boundaries, so that mode has no disjoint
 /// decomposition and walks sequentially.
 
 namespace mighty::opt {
@@ -197,19 +196,16 @@ mig::Mig rewrite_top_down(const mig::Mig& mig, ReplacementOracle& oracle,
     const auto partition = ffr::compute_ffrs(mig);
     const auto boundary = ffr::ffr_boundary(partition);
     cut_params.boundary = &boundary;
-    const auto plan =
-        shard::plan_ffr_shards(mig, partition, shard::shard_count(params.pool));
+    const auto regions = shard::collect_region_members(mig, partition);
     cut_sets.resize(mig.num_nodes());
-    counters.resize(plan.shards.size());
-    util::parallel_for(params.pool, plan.shards.size(), [&](size_t s) {
-      const auto& shard = plan.shards[s];
-      cuts::enumerate_cuts_scoped(mig, cut_params, shard.nodes, cut_sets);
-      for (const uint32_t root : shard.roots) {
-        const auto in_region = [&](uint32_t n) {
-          return mig.is_gate(n) && partition.region_root[n] == root;
-        };
-        plan_walk(in, {root}, in_region, plans, counters[s]);
-      }
+    counters.resize(regions.live_roots.size());
+    util::parallel_for(params.pool, regions.live_roots.size(), [&](size_t r) {
+      const uint32_t root = regions.live_roots[r];
+      cuts::enumerate_cuts_scoped(mig, cut_params, regions.members[r], cut_sets);
+      const auto in_region = [&](uint32_t n) {
+        return mig.is_gate(n) && partition.region_root[n] == root;
+      };
+      plan_walk(in, {root}, in_region, plans, counters[r]);
     });
   }
   for (const auto& c : counters) {

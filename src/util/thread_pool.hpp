@@ -12,14 +12,15 @@
 #include "util/mutex.hpp"
 
 /// \file thread_pool.hpp
-/// \brief A small work-sharing thread pool for shard-parallel passes and for
+/// \brief A small work-sharing thread pool for region-parallel passes and for
 /// the two-level batch scheduler.
 ///
 /// Two primitives share one set of workers and one FIFO task queue:
 ///
 ///  * parallel_for: run fn(i) for every i in [0, count), distributing indices
-///    dynamically over the workers and the calling thread.  Dynamic
-///    distribution is safe for the sharded optimization passes because every
+///    dynamically over the workers and the calling thread, which also evens
+///    out uneven task sizes (one task per fanout-free region in the FFR
+///    passes).  Dynamic distribution is safe for those passes because every
 ///    task writes only to slots it owns — results are a pure function of the
 ///    task index, never of the schedule — which is what makes `--threads N`
 ///    bit-identical to `--threads 1`.
@@ -31,7 +32,7 @@
 ///    queue, so the caller is a worker too.
 ///
 /// The two levels compose: a TaskGroup task may call parallel_for on the same
-/// pool (its inner shard fan-out); the caller of parallel_for always drains
+/// pool (its inner region fan-out); the caller of parallel_for always drains
 /// its own job, so completion never depends on idle workers being available.
 ///
 /// A pool of parallelism 1 has no worker threads at all; parallel_for then
@@ -50,8 +51,9 @@ namespace mighty::util {
 
 class ThreadPool {
 public:
-  /// Hard cap on pool width: the shard planners stop profiting far earlier,
-  /// and an absurd request must not try to spawn thousands of OS threads.
+  /// Hard cap on pool width: the region-parallel passes stop profiting far
+  /// earlier, and an absurd request must not try to spawn thousands of OS
+  /// threads.
   static constexpr uint32_t kMaxParallelism = 256;
 
   /// `parallelism` counts the calling thread: a pool of parallelism N spawns
@@ -147,7 +149,7 @@ private:
 };
 
 /// Runs fn(i) for every i in [0, count): on `pool` when there is one, else
-/// inline in index order.  The sharded passes take an optional pool; this is
+/// inline in index order.  The region-parallel passes take an optional pool; this is
 /// their single "pool or loop" branch.
 inline void parallel_for(ThreadPool* pool, size_t count,
                          const std::function<void(size_t)>& fn) {

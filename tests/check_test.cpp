@@ -209,57 +209,7 @@ TEST(CheckPartitionTest, RegionRootOutOfRange) {
   EXPECT_EQ(sized.find(Code::region_root_out_of_range)->node, kNoNode);
 }
 
-// --- shard plans -------------------------------------------------------------
-
-TEST(CheckShardTest, CleanPlanValidates) {
-  const auto m = testutil::random_mig(6, 60, 4, 11);
-  const auto partition = ffr::compute_ffrs(m);
-  for (const uint32_t shards : {1u, 2u, 4u, 16u}) {
-    const auto plan = shard::plan_ffr_shards(m, partition, shards);
-    const auto report = validate_shard_plan(m, partition, plan);
-    EXPECT_TRUE(report.ok()) << "shards=" << shards << "\n" << report.summary();
-  }
-}
-
-TEST(CheckShardTest, DuplicatedShardOverlaps) {
-  const auto m = two_region_mig();
-  const auto partition = ffr::compute_ffrs(m);
-  auto plan = shard::plan_ffr_shards(m, partition, 2);
-  ASSERT_FALSE(plan.shards.empty());
-  plan.shards.push_back(plan.shards[0]);
-  const auto report = validate_shard_plan(m, partition, plan);
-  EXPECT_TRUE(report.has(Code::shard_overlap)) << report.summary();
-}
-
-TEST(CheckShardTest, EmptyPlanIsIncomplete) {
-  const auto m = two_region_mig();
-  const auto partition = ffr::compute_ffrs(m);
-  const auto report = validate_shard_plan(m, partition, shard::ShardPlan{});
-  ASSERT_TRUE(report.has(Code::shard_incomplete)) << report.summary();
-  EXPECT_EQ(report.find(Code::shard_incomplete)->node, 4u);  // first live gate
-}
-
-TEST(CheckShardTest, UnsortedNodesAreReported) {
-  const auto m = testutil::random_mig(6, 60, 4, 11);
-  const auto partition = ffr::compute_ffrs(m);
-  auto plan = shard::plan_ffr_shards(m, partition, 1);
-  ASSERT_FALSE(plan.shards.empty());
-  ASSERT_GE(plan.shards[0].nodes.size(), 2u);
-  std::swap(plan.shards[0].nodes.front(), plan.shards[0].nodes.back());
-  const auto report = validate_shard_plan(m, partition, plan);
-  EXPECT_TRUE(report.has(Code::shard_not_sorted)) << report.summary();
-}
-
-TEST(CheckShardTest, ForeignNodeIsReported) {
-  const auto m = two_region_mig();
-  const auto partition = ffr::compute_ffrs(m);
-  auto plan = shard::plan_ffr_shards(m, partition, 1);
-  ASSERT_FALSE(plan.shards.empty());
-  plan.shards[0].nodes.push_back(4000);
-  const auto report = validate_shard_plan(m, partition, plan);
-  ASSERT_TRUE(report.has(Code::shard_foreign_node)) << report.summary();
-  EXPECT_EQ(report.find(Code::shard_foreign_node)->node, 4000u);
-}
+// --- wave schedule -----------------------------------------------------------
 
 TEST(CheckShardTest, WaveOrderDetectsLevelInversion) {
   const auto m = two_region_mig();

@@ -4,7 +4,9 @@
 
 #include <set>
 
+#include "gen/arith.hpp"
 #include "mig/ffr.hpp"
+#include "mig/shard.hpp"
 #include "mig/simulation.hpp"
 #include "test_util.hpp"
 
@@ -233,6 +235,40 @@ TEST(FfrTest, BoundaryRestrictsCuts) {
     for (uint8_t i = 0; i < cut.size; ++i) {
       EXPECT_TRUE(cut.leaves[i] == shared.index() || cut.leaves[i] == a.index() ||
                   cut.leaves[i] == g2.index());
+    }
+  }
+}
+
+TEST(FfrTest, RegionScopedCutsEqualGlobalCuts) {
+  // The FFR passes enumerate cuts one region at a time, concurrently; that is
+  // exact only because every gate feeding a region from outside is a
+  // boundary leaf.  Regions run last-to-first here, so no region's sets can
+  // lean on another region having been enumerated before it.
+  std::vector<mig::Mig> networks;
+  for (const uint32_t seed : {1u, 7u, 42u}) {
+    networks.push_back(testutil::random_mig(8, 120, 6, seed));
+  }
+  networks.push_back(gen::make_adder_n(16));
+  networks.push_back(gen::make_multiplier_n(8));
+  networks.push_back(gen::make_sqrt_n(8));
+  for (size_t i = 0; i < networks.size(); ++i) {
+    const auto& m = networks[i];
+    const auto partition = ffr::compute_ffrs(m);
+    const auto boundary = ffr::ffr_boundary(partition);
+    const auto regions = shard::collect_region_members(m, partition);
+    const auto live = m.live_mask();
+    for (const uint32_t k : {4u, 5u}) {
+      const CutEnumerationParams params{.cut_size = k, .boundary = &boundary};
+      const auto global = enumerate_cuts(m, params);
+      std::vector<std::vector<Cut>> scoped(m.num_nodes());
+      for (size_t r = regions.members.size(); r-- > 0;) {
+        enumerate_cuts_scoped(m, params, regions.members[r], scoped);
+      }
+      for (uint32_t n = 0; n < m.num_nodes(); ++n) {
+        if (!m.is_gate(n) || !live[n]) continue;
+        ASSERT_FALSE(scoped[n].empty()) << "network " << i << " k=" << k << " node " << n;
+        EXPECT_EQ(scoped[n], global[n]) << "network " << i << " k=" << k << " node " << n;
+      }
     }
   }
 }

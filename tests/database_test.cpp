@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "test_util.hpp"
+#include "util/bounded_line.hpp"
 
 /// File I/O behavior of the NPN-4 database: crash-safe (atomic) saves,
 /// lossless build_seconds round trips, and rejection of corrupted files.
@@ -113,6 +114,34 @@ TEST(DatabaseIoTest, TruncatedFileRejected) {
   os << full.substr(0, full.size() / 2);
   os.close();
   EXPECT_FALSE(Database::load(path).has_value());
+}
+
+TEST(DatabaseIoTest, OverLongLineRejectedAfterABoundedRead) {
+  // A 64 MB line must be turned down after a bounded prefix of it, not after
+  // it was buffered whole.
+  testutil::GeneratedStreamBuf buf("mighty-mig-npn4-db v1 1\n", '0', size_t{64} << 20);
+  std::istream is(&buf);
+  EXPECT_FALSE(Database::load(is).has_value());
+  EXPECT_LT(buf.consumed(), size_t{1} << 20);
+}
+
+TEST(BoundedLineTest, CapAdmitsLinesUpToItsLength) {
+  const std::string at_cap(util::kMaxArtifactLine, 'x');
+  std::istringstream is(at_cap + "\n" + at_cap + "x\nrest");
+  std::string line;
+  EXPECT_EQ(util::read_bounded_line(is, line), util::LineRead::ok);
+  EXPECT_EQ(line, at_cap);
+  EXPECT_EQ(util::read_bounded_line(is, line), util::LineRead::too_long);
+  EXPECT_EQ(line, at_cap);  // the prefix read before giving up
+  std::istringstream tail("last\n\nunterminated");
+  EXPECT_EQ(util::read_bounded_line(tail, line), util::LineRead::ok);
+  EXPECT_EQ(line, "last");
+  EXPECT_EQ(util::read_bounded_line(tail, line), util::LineRead::ok);
+  EXPECT_EQ(line, "");
+  EXPECT_EQ(util::read_bounded_line(tail, line), util::LineRead::ok);
+  EXPECT_EQ(line, "unterminated");
+  EXPECT_EQ(util::read_bounded_line(tail, line), util::LineRead::end);
+  EXPECT_TRUE(tail.eof());
 }
 
 TEST(DatabaseIoTest, LoadOrBuildPrefersExistingFile) {

@@ -268,6 +268,30 @@ TEST(OracleCacheTest, CorruptedFilesRejectedWithoutMerging) {
                       entry_line.substr(entry_line.find(' ')));
 }
 
+TEST(OracleCacheTest, OverLongLineRejectedAfterABoundedRead) {
+  // A 64 MB line must be turned down after a bounded prefix of it, not after
+  // it was buffered whole; the loader and the lint run the same reader.
+  constexpr size_t kLine = size_t{64} << 20;
+  const std::string header = "mighty-mig-5cut-cache v2 1\n";
+  {
+    testutil::GeneratedStreamBuf buf(header, '0', kLine);
+    std::istream is(&buf);
+    ReplacementOracle oracle(db());
+    EXPECT_EQ(oracle.load_cache(is).status,
+              ReplacementOracle::CacheLoadStatus::malformed);
+    EXPECT_EQ(oracle.cache_stats().entries, 0u);
+    EXPECT_LT(buf.consumed(), size_t{1} << 20);
+  }
+  {
+    testutil::GeneratedStreamBuf buf(header, '0', kLine);
+    std::istream is(&buf);
+    const auto report = check::lint_cache(is);
+    ASSERT_TRUE(report.has(check::Code::artifact_entry)) << report.summary();
+    EXPECT_EQ(report.find(check::Code::artifact_entry)->node, 2u);
+    EXPECT_LT(buf.consumed(), size_t{1} << 20);
+  }
+}
+
 TEST(OracleCacheTest, NegativeFailureBudgetRejected) {
   const auto f = maj5_table();
   const auto line = [&](const char* budget) {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <set>
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "cec/cec.hpp"
@@ -17,116 +17,55 @@
 namespace mighty {
 namespace {
 
-/// The invariants every shard plan must satisfy: shards are disjoint, cover
-/// exactly the live gates, keep whole regions together, and stay sorted.
-void check_plan_invariants(const mig::Mig& m, const ffr::FfrPartition& partition,
-                           const shard::ShardPlan& plan) {
-  const auto live = m.live_mask();
-  std::vector<int> owner(m.num_nodes(), -1);
-  std::set<uint32_t> seen_roots;
-
-  for (size_t s = 0; s < plan.shards.size(); ++s) {
-    const auto& sh = plan.shards[s];
-    // Node and root lists ascending => topologically ordered.
-    EXPECT_TRUE(std::is_sorted(sh.nodes.begin(), sh.nodes.end()));
-    EXPECT_TRUE(std::is_sorted(sh.roots.begin(), sh.roots.end()));
-    for (const uint32_t root : sh.roots) {
-      EXPECT_TRUE(partition.is_root[root]) << root;
-      EXPECT_TRUE(seen_roots.insert(root).second) << "root in two shards";
-    }
-    for (const uint32_t n : sh.nodes) {
-      ASSERT_TRUE(m.is_gate(n));
-      EXPECT_TRUE(live[n]) << "dead gate planned";
-      EXPECT_EQ(owner[n], -1) << "node in two shards";
-      owner[n] = static_cast<int>(s);
-    }
-    // Whole regions: every member's root rides in the same shard.
-    for (const uint32_t n : sh.nodes) {
-      const uint32_t root = partition.region_root[n];
-      EXPECT_TRUE(std::binary_search(sh.roots.begin(), sh.roots.end(), root))
-          << "node " << n << " separated from its region root " << root;
-    }
-  }
-
-  // Full coverage of the output-reachable gates.
-  for (uint32_t n = 0; n < m.num_nodes(); ++n) {
-    if (m.is_gate(n) && live[n]) {
-      EXPECT_NE(owner[n], -1) << "live gate " << n << " not planned";
-    }
-  }
-}
-
-TEST(ShardPlanTest, InvariantsOnRandomNetworks) {
-  for (const uint32_t seed : {1u, 7u, 42u}) {
-    const auto m = testutil::random_mig(8, 120, 6, seed);
-    const auto partition = ffr::compute_ffrs(m);
-    for (const uint32_t shards : {1u, 2u, 4u, 16u}) {
-      check_plan_invariants(m, partition, shard::plan_ffr_shards(m, partition, shards));
-    }
-  }
-}
-
-TEST(ShardPlanTest, InvariantsOnArithmeticNetworks) {
-  for (const auto& m : {gen::make_adder_n(16), gen::make_multiplier_n(8),
-                        gen::make_sqrt_n(8)}) {
-    const auto partition = ffr::compute_ffrs(m);
-    check_plan_invariants(m, partition, shard::plan_ffr_shards(m, partition, 8));
-  }
-}
-
-TEST(ShardPlanTest, IsDeterministic) {
-  const auto m = gen::make_multiplier_n(8);
-  const auto partition = ffr::compute_ffrs(m);
-  const auto a = shard::plan_ffr_shards(m, partition, 8);
-  const auto b = shard::plan_ffr_shards(m, partition, 8);
-  ASSERT_EQ(a.shards.size(), b.shards.size());
-  for (size_t s = 0; s < a.shards.size(); ++s) {
-    EXPECT_EQ(a.shards[s].roots, b.shards[s].roots);
-    EXPECT_EQ(a.shards[s].nodes, b.shards[s].nodes);
-  }
-}
-
-TEST(ShardPlanTest, BalancesShardLoads) {
-  const auto m = gen::make_multiplier_n(16);
-  const auto partition = ffr::compute_ffrs(m);
-  const auto plan = shard::plan_ffr_shards(m, partition, 8);
-  ASSERT_EQ(plan.shards.size(), 8u);
-  size_t largest = 0;
-  for (const auto& sh : plan.shards) largest = std::max(largest, sh.nodes.size());
-  // Greedy LPT cannot be perfect, but no shard may dwarf the ideal share.
-  const double ideal = static_cast<double>(plan.total_nodes()) / 8.0;
-  EXPECT_LE(static_cast<double>(largest), 2.0 * ideal + 8.0);
-  EXPECT_EQ(plan.total_nodes(), m.count_live_gates());
-}
-
-TEST(ShardPlanTest, NeverMakesMoreShardsThanRegions) {
-  mig::Mig m;  // two gates in one region: a single live region
-  const auto pis = m.create_pis(3);
-  const auto inner = m.create_and(pis[0], pis[1]);
-  m.create_po(m.create_and(inner, pis[2]));
-  const auto partition = ffr::compute_ffrs(m);
-  const auto plan = shard::plan_ffr_shards(m, partition, 8);
-  EXPECT_EQ(plan.shards.size(), 1u);
-  EXPECT_EQ(plan.total_nodes(), 2u);
-}
-
-TEST(ShardRegionTest, MembersEndWithTheirRoot) {
-  const auto m = gen::make_sqrt_n(8);
+/// The cover every FFR pass fans out over: the live regions are disjoint,
+/// together cover exactly the live gates, and list their members ascending
+/// (= topologically) with the root last.
+void check_region_cover(const mig::Mig& m) {
   const auto partition = ffr::compute_ffrs(m);
   const auto regions = shard::collect_region_members(m, partition);
+  const auto live = m.live_mask();
+  const auto strictly_ascending = [](const std::vector<uint32_t>& v) {
+    return std::adjacent_find(v.begin(), v.end(), std::greater_equal<>()) == v.end();
+  };
   ASSERT_FALSE(regions.live_roots.empty());
-  uint64_t total = 0;
+  ASSERT_EQ(regions.members.size(), regions.live_roots.size());
+  EXPECT_TRUE(strictly_ascending(regions.live_roots));
+  std::vector<int> owner(m.num_nodes(), -1);
   for (size_t r = 0; r < regions.live_roots.size(); ++r) {
+    const uint32_t root = regions.live_roots[r];
+    EXPECT_TRUE(partition.is_root[root]) << root;
+    EXPECT_EQ(regions.region_index[root], r);
     const auto& members = regions.members[r];
-    ASSERT_FALSE(members.empty());
-    EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
-    EXPECT_EQ(members.back(), regions.live_roots[r]);
+    ASSERT_FALSE(members.empty()) << "region " << root;
+    EXPECT_TRUE(strictly_ascending(members)) << "region " << root;
+    EXPECT_EQ(members.back(), root);
     for (const uint32_t n : members) {
-      EXPECT_EQ(partition.region_root[n], regions.live_roots[r]);
+      ASSERT_TRUE(m.is_gate(n));
+      EXPECT_TRUE(live[n]) << "dead gate " << n << " in region " << root;
+      EXPECT_EQ(owner[n], -1) << "node " << n << " in two regions";
+      owner[n] = static_cast<int>(r);
+      EXPECT_EQ(partition.region_root[n], root) << "node " << n;
     }
-    total += members.size();
   }
-  EXPECT_EQ(total, m.count_live_gates());
+  for (uint32_t n = 0; n < m.num_nodes(); ++n) {
+    if (m.is_gate(n) && live[n]) {
+      EXPECT_NE(owner[n], -1) << "live gate " << n << " in no region";
+    }
+  }
+}
+
+TEST(ShardRegionTest, CoverOnRandomNetworks) {
+  for (const uint32_t seed : {1u, 7u, 42u}) {
+    SCOPED_TRACE(seed);
+    check_region_cover(testutil::random_mig(8, 120, 6, seed));
+  }
+}
+
+TEST(ShardRegionTest, CoverOnArithmeticNetworks) {
+  for (const auto& m : {gen::make_adder_n(16), gen::make_multiplier_n(8),
+                        gen::make_sqrt_n(8)}) {
+    check_region_cover(m);
+  }
 }
 
 TEST(ShardRegionTest, SpliceCopiesUnchangedRegionsFromTheSource) {
@@ -280,7 +219,7 @@ TEST(TaskGroupTest, WaitRethrowsTaskException) {
 
 TEST(TaskGroupTest, TasksMayFanOutWithParallelFor) {
   // Two-level composition: an outer task runs an inner parallel_for on the
-  // same pool — exactly what a shard-parallel pass does inside a batch task.
+  // same pool — exactly what a region-parallel pass does inside a batch task.
   util::ThreadPool pool(4);
   std::vector<std::atomic<uint32_t>> hits(4 * 64);
   util::ThreadPool::TaskGroup group(pool);

@@ -1,7 +1,11 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <filesystem>
 #include <random>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "mig/mig.hpp"
@@ -48,5 +52,37 @@ inline mig::Mig random_mig(uint32_t num_pis, uint32_t num_gates, uint32_t num_po
   }
   return m;
 }
+
+/// A stream source of `head` followed by `length` copies of `fill`, made on
+/// demand (a 64 MB line costs no memory here), that counts how many bytes
+/// its reader has taken.
+class GeneratedStreamBuf : public std::streambuf {
+public:
+  GeneratedStreamBuf(std::string head, char fill, size_t length)
+      : head_(std::move(head)), fill_(fill), total_(head_.size() + length) {}
+
+  /// Bytes the reader has taken (made but still buffered ones excluded).
+  size_t consumed() const { return made_ - static_cast<size_t>(egptr() - gptr()); }
+
+protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (made_ == total_) return traits_type::eof();
+    const size_t n = std::min(chunk_.size(), total_ - made_);
+    for (size_t i = 0; i < n; ++i) {
+      chunk_[i] = made_ + i < head_.size() ? head_[made_ + i] : fill_;
+    }
+    made_ += n;
+    setg(chunk_.data(), chunk_.data(), chunk_.data() + n);
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+private:
+  std::string head_;
+  char fill_;
+  size_t total_;
+  size_t made_ = 0;
+  std::array<char, 4096> chunk_{};
+};
 
 }  // namespace mighty::testutil
