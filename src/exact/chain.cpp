@@ -41,11 +41,11 @@ std::vector<uint32_t> MigChain::step_levels() const {
 
 uint32_t MigChain::depth() const { return step_levels()[ref_of(output)]; }
 
-mig::Signal MigChain::instantiate(mig::Mig& mig,
-                                  const std::vector<mig::Signal>& inputs) const {
+mig::Signal MigChain::instantiate(mig::Mig& mig, std::span<const mig::Signal> inputs) const {
   MIGHTY_ASSERT(inputs.size() >= num_vars);
-  std::vector<mig::Signal> values;
-  values.reserve(1 + num_vars + steps.size());
+  // Per-thread and reused: rewriting instantiates a chain per replacement.
+  thread_local std::vector<mig::Signal> values;
+  values.clear();
   values.push_back(mig.get_constant(false));
   for (uint32_t v = 0; v < num_vars; ++v) values.push_back(inputs[v]);
   auto value_of = [&](RefLit l) { return values[ref_of(l)] ^ ref_complemented(l); };

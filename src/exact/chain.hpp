@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,7 @@ struct MigChain {
   /// Builds the chain inside an MIG, with `inputs[i]` standing for x_{i+1};
   /// `inputs` must provide at least num_vars signals.  Returns the output
   /// signal.  Structural hashing in the target MIG may share steps.
-  mig::Signal instantiate(mig::Mig& mig, const std::vector<mig::Signal>& inputs) const;
+  mig::Signal instantiate(mig::Mig& mig, std::span<const mig::Signal> inputs) const;
 
   /// Serialization to/from one text line (used by the database file format).
   std::string to_string() const;

@@ -138,14 +138,14 @@ Database::LookupResult Database::lookup(const tt::TruthTable& f) const {
 }
 
 mig::Signal Database::instantiate(const tt::TruthTable& f, mig::Mig& mig,
-                                  const std::vector<mig::Signal>& leaves) const {
+                                  std::span<const mig::Signal> leaves) const {
   const auto result = lookup(f);
   const auto inv = npn::inverse(result.transform);
 
   // f == apply(rep, inv): variable i of the representative is driven by leaf
   // inv.perm[i], complemented per inv's negation mask; the output picks up
   // inv's output negation.
-  std::vector<mig::Signal> inputs(4, mig.get_constant(false));
+  std::array<mig::Signal, 4> inputs;
   for (uint32_t i = 0; i < 4; ++i) {
     const uint32_t leaf = inv.perm[i];
     const mig::Signal base =

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,7 +92,7 @@ public:
   /// minimum chain, honoring the NPN transform.  `leaves[i]` drives variable
   /// i of f.  Unused leaves are ignored.
   mig::Signal instantiate(const tt::TruthTable& f, mig::Mig& mig,
-                          const std::vector<mig::Signal>& leaves) const;
+                          std::span<const mig::Signal> leaves) const;
 
   const std::vector<DatabaseEntry>& entries() const { return entries_; }
   size_t num_entries() const { return entries_.size(); }

@@ -1,8 +1,8 @@
 #include <algorithm>
 #include <array>
 #include <optional>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "mig/algebra/algebra.hpp"
 #include "mig/ffr.hpp"
@@ -92,30 +92,30 @@ RegionOutcome rewrite_region(const mig::Mig& source,
   RegionOutcome outcome;
   const uint32_t root = members.back();  // largest index = the region root
 
-  // Region-local mapping of original node ids to private signals (a full
-  // per-node array per region would dwarf the actual rewriting work).
-  outcome.inputs = shard::region_inputs(source, members);
-  std::unordered_map<uint32_t, mig::Signal> map;
-  map.emplace(mig::Mig::constant_node, outcome.net.get_constant(false));
-  for (const uint32_t f : outcome.inputs) {
-    map.emplace(f, outcome.net.create_pi());
-  }
+  // Private signals of the nodes the region reads, by region slot.
+  const shard::RegionSlots slots(source, members);
+  outcome.inputs = slots.inputs();
+  std::vector<mig::Signal> map(slots.size());
+  map[slots.slot(mig::Mig::constant_node)] = outcome.net.get_constant(false);
+  for (const uint32_t f : outcome.inputs) map[slots.slot(f)] = outcome.net.create_pi();
 
   for (const uint32_t v : members) {
     const auto& f = source.fanins(v);
     std::array<mig::Signal, 3> in;
-    for (size_t i = 0; i < 3; ++i) in[i] = map.at(f[i].index()) ^ f[i].is_complemented();
+    for (size_t i = 0; i < 3; ++i) {
+      in[i] = map[slots.slot(f[i].index())] ^ f[i].is_complemented();
+    }
     if (const auto m = find_match(outcome.net, in, f, fanout)) {
       // <<xyu><xyv>z> = <xy<uvz>>
       const mig::Signal inner = outcome.net.create_maj(m->u, m->v, m->z);
-      map[v] = outcome.net.create_maj(m->common[0], m->common[1], inner);
+      map[slots.slot(v)] = outcome.net.create_maj(m->common[0], m->common[1], inner);
       ++outcome.applied;
     } else {
-      map[v] = outcome.net.create_maj(in[0], in[1], in[2]);
+      map[slots.slot(v)] = outcome.net.create_maj(in[0], in[1], in[2]);
     }
   }
 
-  outcome.chosen = map.at(root);
+  outcome.chosen = map[slots.slot(root)];
   outcome.net.create_po(outcome.chosen);
   return outcome;
 }

@@ -1,6 +1,9 @@
 #include "mig/cuts.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
+
 #include "util/assert.hpp"
 
 namespace mighty::cuts {
@@ -68,31 +71,42 @@ bool is_leaf(const mig::Mig& mig, const CutEnumerationParams& params, uint32_t f
 /// fanins that are not leaves.
 void build_node_cuts(const mig::Mig& mig, const CutEnumerationParams& params, uint32_t n,
                      const std::vector<std::vector<Cut>>& sets, std::vector<Cut>& out) {
-  auto fanin_set = [&](mig::Signal s) -> std::vector<Cut> {
-    const uint32_t f = s.index();
-    if (mig.is_constant(f)) return {Cut{}};  // empty cut: paths exempt
-    if (is_leaf(mig, params, f)) return {trivial_cut(f)};
-    return sets[f];
-  };
+  // A terminal or boundary fanin contributes a single cut, held here; a
+  // gate fanin's set is read in place.
+  std::array<Cut, 3> single;
+  std::array<std::span<const Cut>, 3> fanin_sets;
   const auto& f = mig.fanins(n);
-  const auto set0 = fanin_set(f[0]);
-  const auto set1 = fanin_set(f[1]);
-  const auto set2 = fanin_set(f[2]);
+  for (size_t i = 0; i < 3; ++i) {
+    const uint32_t g = f[i].index();
+    if (mig.is_constant(g)) {
+      single[i] = Cut{};  // empty cut: paths exempt
+    } else if (is_leaf(mig, params, g)) {
+      single[i] = trivial_cut(g);
+    } else {
+      fanin_sets[i] = sets[g];
+      continue;
+    }
+    fanin_sets[i] = std::span(&single[i], 1);
+  }
 
+  // Merged in per-thread scratch, so `out` is allocated once, at its size.
+  thread_local std::vector<Cut> merged;
+  merged.clear();
   Cut ab;
   Cut abc;
-  for (const Cut& c0 : set0) {
-    for (const Cut& c1 : set1) {
+  for (const Cut& c0 : fanin_sets[0]) {
+    for (const Cut& c1 : fanin_sets[1]) {
       if (!merge_cuts(c0, c1, params.cut_size, ab)) continue;
-      for (const Cut& c2 : set2) {
+      for (const Cut& c2 : fanin_sets[2]) {
         if (!merge_cuts(ab, c2, params.cut_size, abc)) continue;
-        insert_cut(out, abc, params.max_cuts);
+        insert_cut(merged, abc, params.max_cuts);
       }
     }
   }
   if (params.include_trivial) {
-    insert_cut(out, trivial_cut(n), /*max_cuts=*/0);
+    insert_cut(merged, trivial_cut(n), /*max_cuts=*/0);
   }
+  out.assign(merged.begin(), merged.end());
 }
 
 }  // namespace
@@ -122,7 +136,6 @@ void enumerate_cuts_scoped(const mig::Mig& mig, const CutEnumerationParams& para
   MIGHTY_ASSERT(sets.size() == mig.num_nodes());
   for (const uint32_t n : scope) {
     MIGHTY_ASSERT(mig.is_gate(n));
-    sets[n].clear();
     build_node_cuts(mig, params, n, sets, sets[n]);
   }
 }

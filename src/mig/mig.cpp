@@ -1,9 +1,19 @@
 #include "mig/mig.hpp"
 
 #include <algorithm>
+#include <bit>
+
 #include "util/assert.hpp"
 
 namespace mighty::mig {
+
+namespace {
+
+/// Smallest structural-hash table that holds `gates` gates at load at most
+/// one half.
+size_t strash_slots_for(size_t gates) { return std::bit_ceil(std::max<size_t>(2 * gates, 16)); }
+
+}  // namespace
 
 Mig::Mig() {
   // Node 0 is the constant-0 terminal; its fanins point to itself.
@@ -12,7 +22,31 @@ Mig::Mig() {
 
 void Mig::reserve(uint32_t nodes) {
   nodes_.reserve(nodes);
-  strash_.reserve(nodes);
+  const size_t slots = strash_slots_for(nodes);
+  if (slots > strash_.size()) rehash(slots);
+}
+
+size_t Mig::strash_home(const std::array<Signal, 3>& fanin) const {
+  // FNV-1a over the raw fanins, then multiply-shift: the slot comes from the
+  // product's high bits, because FNV's own low bits depend only on the
+  // fanins' low bits.
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const Signal s : fanin) {
+    h ^= s.raw();
+    h *= 0x100000001b3ull;
+  }
+  return static_cast<size_t>((h * 0x9e3779b97f4a7c15ull) >>
+                             (64 - std::countr_zero(strash_.size())));
+}
+
+void Mig::rehash(size_t slots) {
+  strash_.assign(slots, 0);
+  const size_t mask = slots - 1;
+  for (uint32_t g = num_pis_ + 1; g < num_nodes(); ++g) {
+    size_t slot = strash_home(nodes_[g].fanin);
+    while (strash_[slot] != 0) slot = (slot + 1) & mask;
+    strash_[slot] = g;
+  }
 }
 
 Signal Mig::create_pi() {
@@ -55,13 +89,20 @@ Signal Mig::create_maj(Signal a, Signal b, Signal c) {
     output_complemented = true;
   }
 
-  const FaninKey key{{a.raw(), b.raw(), c.raw()}};
-  if (const auto it = strash_.find(key); it != strash_.end()) {
-    return Signal(it->second, output_complemented);
+  const std::array<Signal, 3> fanin{a, b, c};
+  if (2 * (size_t{num_gates()} + 1) > strash_.size()) {
+    rehash(strash_slots_for(size_t{num_gates()} + 1));
   }
-  nodes_.push_back(Node{{a, b, c}});
+  const size_t mask = strash_.size() - 1;
+  size_t slot = strash_home(fanin);
+  for (; strash_[slot] != 0; slot = (slot + 1) & mask) {
+    if (nodes_[strash_[slot]].fanin == fanin) {
+      return Signal(strash_[slot], output_complemented);
+    }
+  }
+  nodes_.push_back(Node{fanin});
   const uint32_t index = num_nodes() - 1;
-  strash_.emplace(key, index);
+  strash_[slot] = index;
   return Signal(index, output_complemented);
 }
 

@@ -2,9 +2,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 /// \file mig.hpp
@@ -47,6 +45,14 @@ private:
   uint32_t data_ = 0;
 };
 
+/// A majority-inverter graph under construction.  create_maj structurally
+/// hashes: each canonical fanin triple exists at most once.  The hash table
+/// is open addressing over gate indices: a flat power-of-two array in which
+/// 0 means "empty" (node 0 is the constant, never a gate), probed linearly
+/// and grown to keep the load at most one half.  A slot stores only the gate
+/// index; the key is read back from that gate's fanins.  Node indices come
+/// from creation order, never from the table, so the table's layout cannot
+/// change a network.  reserve() sizes both the node store and the table.
 class Mig {
 public:
   /// Index of the constant-0 node.
@@ -56,7 +62,7 @@ public:
 
   /// Sizes the node store and the structural-hash table for `nodes` nodes
   /// (constant and PIs included), so building that many never reallocates
-  /// or rehashes.  A hint only: the network may still grow past it.
+  /// or regrows the table.  A hint only: the network may still grow past it.
   void reserve(uint32_t nodes);
 
   /// The constant signal (`value` selects polarity).
@@ -135,25 +141,17 @@ private:
     std::array<Signal, 3> fanin;
   };
 
-  struct FaninKey {
-    std::array<uint32_t, 3> raw;
-    bool operator==(const FaninKey&) const = default;
-  };
-  struct FaninKeyHash {
-    size_t operator()(const FaninKey& k) const {
-      uint64_t h = 0xcbf29ce484222325ull;
-      for (const uint32_t v : k.raw) {
-        h ^= v;
-        h *= 0x100000001b3ull;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-
   std::vector<Node> nodes_;
   std::vector<Signal> outputs_;
   uint32_t num_pis_ = 0;
-  std::unordered_map<FaninKey, uint32_t, FaninKeyHash> strash_;
+  /// Structural-hash table: gate indices by slot, 0 = empty; its size is a
+  /// power of two and at least twice num_gates().
+  std::vector<uint32_t> strash_;
+
+  /// The table slot where probing for `fanin` starts.
+  size_t strash_home(const std::array<Signal, 3>& fanin) const;
+  /// Rebuilds the table with `slots` slots (a power of two).
+  void rehash(size_t slots);
 };
 
 }  // namespace mighty::mig

@@ -1,7 +1,9 @@
 #include "mig/shard.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+
+#include "util/assert.hpp"
 
 namespace mighty::shard {
 
@@ -15,7 +17,13 @@ RegionMembers collect_region_members(const mig::Mig& mig,
     result.region_index[root] = static_cast<uint32_t>(result.live_roots.size());
     result.live_roots.push_back(root);
   }
+  // Counted first, so each member list is allocated once, at its size.
+  std::vector<uint32_t> count(result.live_roots.size(), 0);
+  for (uint32_t n = 0; n < mig.num_nodes(); ++n) {
+    if (mig.is_gate(n) && live[n]) ++count[result.region_index[partition.region_root[n]]];
+  }
   result.members.resize(result.live_roots.size());
+  for (size_t r = 0; r < count.size(); ++r) result.members[r].reserve(count[r]);
   for (uint32_t n = 0; n < mig.num_nodes(); ++n) {
     if (!mig.is_gate(n) || !live[n]) continue;
     result.members[result.region_index[partition.region_root[n]]].push_back(n);
@@ -23,41 +31,78 @@ RegionMembers collect_region_members(const mig::Mig& mig,
   return result;
 }
 
-std::vector<uint32_t> region_inputs(const mig::Mig& mig,
-                                    const std::vector<uint32_t>& members) {
+namespace {
+
+constexpr uint32_t kNoSlot = UINT32_MAX;
+
+/// What RegionSlots numbers into, one per thread.
+struct SlotScratch {
+  std::vector<uint32_t> slot_of;  ///< by node id; kNoSlot outside the region
   std::vector<uint32_t> inputs;
-  // The set only deduplicates; the vector carries the deterministic
-  // first-encounter order.  (A linear probe of `inputs` would go quadratic
-  // on chain-shaped networks that collapse into one huge region.)
-  std::unordered_set<uint32_t> seen;
+  bool in_use = false;
+};
+
+SlotScratch& slot_scratch() {
+  thread_local SlotScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+RegionSlots::RegionSlots(const mig::Mig& mig, const std::vector<uint32_t>& members)
+    : members_(members), slot_of_(slot_scratch().slot_of), inputs_(slot_scratch().inputs) {
+  MIGHTY_ASSERT(!slot_scratch().in_use && "one RegionSlots per thread at a time");
+  slot_scratch().in_use = true;
+  if (slot_of_.size() < mig.num_nodes()) slot_of_.resize(mig.num_nodes(), kNoSlot);
+  slot_of_[mig::Mig::constant_node] = 0;
+  for (uint32_t i = 0; i < members.size(); ++i) slot_of_[members[i]] = 1 + i;
+  // Every fanin without a slot yet is an input seen for the first time.
+  inputs_.clear();
   for (const uint32_t v : members) {
     for (const mig::Signal s : mig.fanins(v)) {
-      const uint32_t f = s.index();
-      if (mig.is_constant(f)) continue;
-      if (mig.is_gate(f) && std::binary_search(members.begin(), members.end(), f)) {
-        continue;  // in-region gate
-      }
-      if (seen.insert(f).second) inputs.push_back(f);
+      if (slot_of_[s.index()] != kNoSlot) continue;
+      slot_of_[s.index()] = size();
+      inputs_.push_back(s.index());
     }
   }
-  return inputs;
+}
+
+RegionSlots::~RegionSlots() {
+  slot_of_[mig::Mig::constant_node] = kNoSlot;
+  for (const uint32_t v : members_) slot_of_[v] = kNoSlot;
+  for (const uint32_t f : inputs_) slot_of_[f] = kNoSlot;
+  slot_scratch().in_use = false;
 }
 
 namespace {
 
-/// Replays the live cone of `region.chosen` into `result`, mapping PI j
-/// through `committed_sig[region.inputs[j]]`; returns the root's signal.
+/// Reused by splice_regions across the regions it replays.
+struct SpliceScratch {
+  std::vector<uint8_t> keep;
+  std::vector<mig::Signal> map;
+};
+
+/// Replays the cone of `region.chosen` into `result`, mapping PI j through
+/// `committed_sig[region.inputs[j]]`; returns the root's signal.
 mig::Signal splice_region(const RegionNet& region,
                           const std::vector<mig::Signal>& committed_sig,
-                          mig::Mig& result) {
+                          mig::Mig& result, SpliceScratch& scratch) {
   const mig::Mig& net = region.net;
-  const auto keep = net.live_mask();
-  std::vector<mig::Signal> map(net.num_nodes(), result.get_constant(false));
+  // Nodes are in topological order, so one downward sweep marks the cone.
+  auto& keep = scratch.keep;
+  keep.assign(net.num_nodes(), 0);
+  keep[region.chosen.index()] = 1;
+  for (uint32_t p = region.chosen.index(); p > net.num_pis(); --p) {
+    if (!keep[p]) continue;
+    for (const mig::Signal f : net.fanins(p)) keep[f.index()] = 1;
+  }
+  auto& map = scratch.map;
+  map.assign(net.num_nodes(), result.get_constant(false));
   for (uint32_t j = 0; j < region.inputs.size(); ++j) {
     map[1 + j] = committed_sig[region.inputs[j]];
   }
-  for (uint32_t p = 0; p < net.num_nodes(); ++p) {
-    if (!net.is_gate(p) || !keep[p]) continue;
+  for (uint32_t p = net.num_pis() + 1; p <= region.chosen.index(); ++p) {
+    if (!keep[p]) continue;
     const auto& f = net.fanins(p);
     map[p] = result.create_maj(map[f[0].index()] ^ f[0].is_complemented(),
                                map[f[1].index()] ^ f[1].is_complemented(),
@@ -76,9 +121,11 @@ mig::Mig splice_regions(const mig::Mig& mig, const RegionMembers& regions,
   for (uint32_t i = 0; i < mig.num_pis(); ++i) {
     committed_sig[1 + i] = result.create_pi();
   }
+  SpliceScratch scratch;
   for (size_t i = 0; i < regions.live_roots.size(); ++i) {
     if (const RegionNet* rebuilt = region(i)) {
-      committed_sig[regions.live_roots[i]] = splice_region(*rebuilt, committed_sig, result);
+      committed_sig[regions.live_roots[i]] =
+          splice_region(*rebuilt, committed_sig, result, scratch);
       continue;
     }
     for (const uint32_t v : regions.members[i]) {  // unchanged: copy from `mig`

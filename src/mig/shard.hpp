@@ -39,11 +39,39 @@ struct RegionMembers {
 RegionMembers collect_region_members(const mig::Mig& mig,
                                      const ffr::FfrPartition& partition);
 
-/// The distinct nodes feeding a region from outside (other regions' roots,
-/// PIs — never the constant), in deterministic first-encounter order.  This
-/// is the PI order of a region-private network: PI j realizes inputs[j].
-std::vector<uint32_t> region_inputs(const mig::Mig& mig,
-                                    const std::vector<uint32_t>& members);
+/// Region-local numbering of the nodes one region task reads.  Slot 0 is
+/// the constant, slots 1..m are the members in order, and the slots after
+/// them are the region's inputs: the distinct nodes feeding it from outside
+/// (other regions' roots, PIs, never the constant) in deterministic
+/// first-encounter order.  That order is the PI order of a region-private
+/// network: PI j realizes inputs()[j].
+///
+/// The numbering lives on per-thread scratch that every region task on the
+/// thread reuses: a node-indexed slot table that reads "none" outside the
+/// current region, because the destructor resets exactly the entries the
+/// constructor set.  So numbering a region takes time in proportion to the
+/// region and allocates only when the thread first meets a larger network
+/// or region.  At most one RegionSlots may exist per thread at a time.
+class RegionSlots {
+public:
+  /// Numbers the region of `members` (ascending, root last) of `mig`.
+  RegionSlots(const mig::Mig& mig, const std::vector<uint32_t>& members);
+  ~RegionSlots();
+  RegionSlots(const RegionSlots&) = delete;
+  RegionSlots& operator=(const RegionSlots&) = delete;
+
+  /// The slot of `node`, which must be the constant, a member or an input.
+  uint32_t slot(uint32_t node) const { return slot_of_[node]; }
+  /// Number of slots: 1 + members + inputs.
+  uint32_t size() const { return static_cast<uint32_t>(1 + members_.size() + inputs_.size()); }
+  /// The region's inputs, in slot (= private PI) order.
+  const std::vector<uint32_t>& inputs() const { return inputs_; }
+
+private:
+  const std::vector<uint32_t>& members_;
+  std::vector<uint32_t>& slot_of_;
+  std::vector<uint32_t>& inputs_;
+};
 
 /// One region's rewritten implementation, as built by a region-parallel pass.
 struct RegionNet {

@@ -1,7 +1,9 @@
 #include "mig/simulation.hpp"
 
-#include "util/assert.hpp"
+#include <algorithm>
 #include <stdexcept>
+
+#include "util/assert.hpp"
 
 namespace mighty::mig {
 
@@ -44,22 +46,60 @@ std::vector<tt::TruthTable> output_truth_tables(const Mig& mig) {
   return result;
 }
 
-tt::TruthTable simulate_cut(const Mig& mig, uint32_t root,
-                            const std::vector<uint32_t>& leaves) {
+namespace {
+
+/// Per-thread scratch of simulate_cut.  The cone's values are indexed by
+/// position in the cone; `position[n]` is node n's position, valid only
+/// while `stamp[n]` equals the current call's `epoch`, so a call never
+/// clears the node-sized arrays.
+struct CutScratch {
+  std::vector<uint32_t> stamp;
+  std::vector<uint32_t> position;
+  uint32_t epoch = 0;
+  std::vector<tt::TruthTable> value;
+  std::vector<uint32_t> stack;
+};
+
+}  // namespace
+
+tt::TruthTable simulate_cut(const Mig& mig, uint32_t root, std::span<const uint32_t> leaves) {
   MIGHTY_ASSERT(leaves.size() <= tt::TruthTable::max_vars);
   const auto k = static_cast<uint32_t>(leaves.size());
 
-  // Depth-first evaluation from the root down to the leaves, memoized per
-  // node.  Uses an explicit stack; cones can be deep in large networks.
-  std::unordered_map<uint32_t, tt::TruthTable> value;
-  value.reserve(64);
-  value[Mig::constant_node] = tt::TruthTable::constant(k, false);
-  for (uint32_t i = 0; i < k; ++i) value[leaves[i]] = tt::TruthTable::projection(k, i);
+  thread_local CutScratch scratch;
+  if (scratch.stamp.size() < mig.num_nodes()) {
+    scratch.stamp.resize(mig.num_nodes(), 0);
+    scratch.position.resize(mig.num_nodes());
+  }
+  if (++scratch.epoch == 0) {  // wrapped: every stale stamp could match again
+    std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
+    scratch.epoch = 1;
+  }
+  const uint32_t epoch = scratch.epoch;
+  auto& value = scratch.value;
+  const auto known = [&](uint32_t n) { return scratch.stamp[n] == epoch; };
+  const auto assign = [&](uint32_t n, tt::TruthTable t) {
+    scratch.stamp[n] = epoch;
+    scratch.position[n] = static_cast<uint32_t>(value.size());
+    value.push_back(t);
+  };
+  const auto get = [&](Signal s) {
+    const tt::TruthTable& t = value[scratch.position[s.index()]];
+    return s.is_complemented() ? ~t : t;
+  };
 
-  std::vector<uint32_t> stack{root};
+  // Depth-first evaluation from the root down to the leaves, each node
+  // evaluated once.  Uses an explicit stack; cones can be deep in large
+  // networks.
+  value.clear();
+  assign(Mig::constant_node, tt::TruthTable::constant(k, false));
+  for (uint32_t i = 0; i < k; ++i) assign(leaves[i], tt::TruthTable::projection(k, i));
+
+  auto& stack = scratch.stack;
+  stack.assign(1, root);
   while (!stack.empty()) {
     const uint32_t n = stack.back();
-    if (value.count(n)) {
+    if (known(n)) {
       stack.pop_back();
       continue;
     }
@@ -69,20 +109,16 @@ tt::TruthTable simulate_cut(const Mig& mig, uint32_t root,
     const auto& f = mig.fanins(n);
     bool ready = true;
     for (const Signal s : f) {
-      if (!value.count(s.index())) {
+      if (!known(s.index())) {
         if (ready) stack.push_back(s.index());
         ready = false;
       }
     }
     if (!ready) continue;
     stack.pop_back();
-    auto get = [&](Signal s) {
-      const auto& t = value.at(s.index());
-      return s.is_complemented() ? ~t : t;
-    };
-    value.emplace(n, tt::TruthTable::maj(get(f[0]), get(f[1]), get(f[2])));
+    assign(n, tt::TruthTable::maj(get(f[0]), get(f[1]), get(f[2])));
   }
-  return value.at(root);
+  return get(Signal(root, false));
 }
 
 }  // namespace mighty::mig

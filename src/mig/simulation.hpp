@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mig/mig.hpp"
@@ -36,8 +37,9 @@ std::vector<tt::TruthTable> output_truth_tables(const Mig& mig);
 /// The local function of `root` expressed over the given leaves (at most six).
 /// Every path from `root` to a terminal must pass through a leaf (i.e.
 /// (root, leaves) is a cut, paper Sec. II-C); paths to the constant node are
-/// exempt.
-tt::TruthTable simulate_cut(const Mig& mig, uint32_t root,
-                            const std::vector<uint32_t>& leaves);
+/// exempt; otherwise throws std::invalid_argument.  Allocation-free once
+/// the calling thread has simulated a cone of this size in a network this
+/// large: its scratch is per thread and reused.
+tt::TruthTable simulate_cut(const Mig& mig, uint32_t root, std::span<const uint32_t> leaves);
 
 }  // namespace mighty::mig

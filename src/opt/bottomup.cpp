@@ -1,5 +1,7 @@
 #include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <span>
+#include <vector>
 
 #include "mig/ffr.hpp"
 #include "mig/shard.hpp"
@@ -25,6 +27,13 @@
 /// and a deterministic sequential splice replays every region's committed
 /// implementation into the result in fixed topological order.  The outcome
 /// is bit-identical for every thread count.
+///
+/// A region task allocates only its private network and its input list.
+/// Its per-worker scratch is cleared and reused by every region the worker
+/// runs: the region-local numbering of the nodes it reads
+/// (shard::RegionSlots) and the flat candidate store (CandidateLists, one
+/// bounded list per numbered node).  Cut simulation and chain instantiation
+/// keep per-thread scratch of their own.
 
 namespace mighty::opt {
 
@@ -36,107 +45,121 @@ struct Candidate {
   uint32_t depth = 0;  ///< estimated level in the new network
 };
 
-/// Keeps the candidate list sorted by (size, depth) and bounded.
-void insert_candidate(std::vector<Candidate>& list, const Candidate& c,
-                      uint32_t max_candidates) {
-  const auto same = std::find_if(list.begin(), list.end(),
-                                 [&](const Candidate& e) { return e.sig == c.sig; });
-  if (same == list.end()) {
-    list.push_back(c);
-  } else if (c.size < same->size || (c.size == same->size && c.depth < same->depth)) {
-    // Same implementation reached twice: keep the better accounting.
-    same->size = c.size;
-    same->depth = c.depth;
+/// Bounded candidate lists, stored flat: list s holds count_[s] entries
+/// starting at entry s * (max + 1), sorted by (size, depth).  The spare
+/// entry takes the insertion that truncation then drops.
+class CandidateLists {
+public:
+  /// Empties the store and sizes it for `lists` lists of at most
+  /// `max_candidates` entries; reuses the previous allocation.
+  void reset(size_t lists, uint32_t max_candidates) {
+    max_ = max_candidates;
+    stride_ = max_candidates + 1;
+    count_.assign(lists, 0);
+    if (entries_.size() < lists * stride_) entries_.resize(lists * stride_);
   }
-  std::sort(list.begin(), list.end(), [](const Candidate& a, const Candidate& b) {
-    return a.size != b.size ? a.size < b.size : a.depth < b.depth;
-  });
-  if (list.size() > max_candidates) list.resize(max_candidates);
-}
+
+  std::span<const Candidate> operator[](uint32_t list) const {
+    return {entries_.data() + size_t{list} * stride_, count_[list]};
+  }
+  const Candidate& best(uint32_t list) const { return entries_[size_t{list} * stride_]; }
+
+  /// Keeps the list sorted by (size, depth) and bounded.
+  void insert(uint32_t list, const Candidate& c) {
+    Candidate* const first = entries_.data() + size_t{list} * stride_;
+    uint32_t& count = count_[list];
+    Candidate* const same =
+        std::find_if(first, first + count, [&](const Candidate& e) { return e.sig == c.sig; });
+    if (same == first + count) {
+      first[count++] = c;
+    } else if (c.size < same->size || (c.size == same->size && c.depth < same->depth)) {
+      // Same implementation reached twice: keep the better accounting.
+      same->size = c.size;
+      same->depth = c.depth;
+    }
+    std::sort(first, first + count, [](const Candidate& a, const Candidate& b) {
+      return a.size != b.size ? a.size < b.size : a.depth < b.depth;
+    });
+    count = std::min(count, max_);
+  }
+
+private:
+  std::vector<Candidate> entries_;
+  std::vector<uint32_t> count_;
+  uint32_t max_ = 0;
+  uint32_t stride_ = 1;
+};
 
 struct StepCounters {
   uint64_t cuts_evaluated = 0;
   uint64_t replacements = 0;
 };
 
-/// Candidate lists by original node id: dense in the global DP, holding only
-/// the region's members and inputs in a region's DP.
-using DenseCandidates = std::vector<std::vector<Candidate>>;
-using RegionCandidates = std::unordered_map<uint32_t, std::vector<Candidate>>;
-
-const std::vector<Candidate>& candidates_of(const DenseCandidates& cand, uint32_t n) {
-  return cand[n];
-}
-const std::vector<Candidate>& candidates_of(const RegionCandidates& cand, uint32_t n) {
-  return cand.at(n);
-}
-
-/// The DP step for gate `v`, shared by both modes: fills cand[v] with the
+/// The DP step for gate `v`, shared by both modes: fills v's list with the
 /// baseline rebuild over the fanins' best candidates plus, for every answered
 /// cut, one candidate per (capped) combination of leaf candidates — all
-/// built into `net`.  Reads only the candidate lists of v's fanins and leaves.
-template <typename Candidates>
+/// built into `net`.  Reads only the candidate lists of v's fanins and
+/// leaves; `list_of` maps a node to its list in `cand`.
+template <typename ListOf>
 void candidate_step(const mig::Mig& mig, ReplacementOracle& oracle,
                     const RewriteParams& params, const std::vector<cuts::Cut>& cut_set,
-                    uint32_t level, uint32_t v, Candidates& cand, mig::Mig& net,
-                    StepCounters& counters) {
-  auto& list = cand[v];
+                    uint32_t level, uint32_t v, const ListOf& list_of, CandidateLists& cand,
+                    mig::Mig& net, StepCounters& counters) {
+  const uint32_t list = list_of(v);
 
   // Baseline candidate: rebuild the node over its fanins' best candidates.
   {
     const auto& f = mig.fanins(v);
-    const Candidate& c0 = candidates_of(cand, f[0].index()).front();
-    const Candidate& c1 = candidates_of(cand, f[1].index()).front();
-    const Candidate& c2 = candidates_of(cand, f[2].index()).front();
+    const Candidate& c0 = cand.best(list_of(f[0].index()));
+    const Candidate& c1 = cand.best(list_of(f[1].index()));
+    const Candidate& c2 = cand.best(list_of(f[2].index()));
     Candidate base;
     base.sig = net.create_maj(c0.sig ^ f[0].is_complemented(),
                               c1.sig ^ f[1].is_complemented(),
                               c2.sig ^ f[2].is_complemented());
     base.size = 1 + c0.size + c1.size + c2.size;
     base.depth = 1 + std::max({c0.depth, c1.depth, c2.depth});
-    insert_candidate(list, base, params.max_candidates);
+    cand.insert(list, base);
   }
 
+  // A cut's leaves are below v, so their lists stay put while v's grows.
+  std::array<std::span<const Candidate>, cuts::Cut::max_size> leaf_lists;
+  std::array<mig::Signal, cuts::Cut::max_size> leaf_signals;
   for (const auto& cut : cut_set) {
     if (cut.size == 1 && cut.leaves[0] == v) continue;
-    const auto leaves = cut.leaf_vector();
+    const std::span<const uint32_t> leaves(cut.leaves.data(), cut.size);
     ++counters.cuts_evaluated;
     const auto f = mig::simulate_cut(mig, v, leaves);
     const auto info = oracle.query(f, params.tally);
     if (!info) continue;
 
     // Iterate (capped) combinations of leaf candidates in mixed radix.
-    std::vector<uint32_t> radix(leaves.size());
     uint64_t total = 1;
     for (size_t i = 0; i < leaves.size(); ++i) {
-      radix[i] = static_cast<uint32_t>(candidates_of(cand, leaves[i]).size());
-      total *= radix[i];
+      leaf_lists[i] = cand[list_of(leaves[i])];
+      total *= leaf_lists[i].size();
     }
     total = std::min<uint64_t>(total, params.max_combinations);
     for (uint64_t combo = 0; combo < total; ++combo) {
       uint64_t rem = combo;
-      std::vector<const Candidate*> chosen(leaves.size());
-      std::vector<mig::Signal> leaf_signals(leaves.size());
       uint32_t size = info->size;
-      for (size_t i = 0; i < leaves.size(); ++i) {
-        chosen[i] = &candidates_of(cand, leaves[i])[rem % radix[i]];
-        rem /= radix[i];
-        leaf_signals[i] = chosen[i]->sig;
-        size += chosen[i]->size;
-      }
       // Depth estimate through the replacement's input-to-output paths.
       uint32_t depth = 0;
-      for (size_t lv = 0; lv < leaves.size(); ++lv) {
-        if (info->input_depths[lv] < 0) continue;
-        depth = std::max(depth, chosen[lv]->depth +
-                                    static_cast<uint32_t>(info->input_depths[lv]));
+      for (size_t i = 0; i < leaves.size(); ++i) {
+        const Candidate& chosen = leaf_lists[i][rem % leaf_lists[i].size()];
+        rem /= leaf_lists[i].size();
+        leaf_signals[i] = chosen.sig;
+        size += chosen.size;
+        if (info->input_depths[i] < 0) continue;
+        depth = std::max(depth, chosen.depth + static_cast<uint32_t>(info->input_depths[i]));
       }
       if (params.depth_preserving && depth > level) continue;
       Candidate c;
-      c.sig = oracle.instantiate(f, net, leaf_signals, params.tally);
+      c.sig = oracle.instantiate(f, net, std::span(leaf_signals.data(), leaves.size()),
+                                 params.tally);
       c.size = size;
       c.depth = depth;
-      insert_candidate(list, c, params.max_candidates);
+      cand.insert(list, c);
       ++counters.replacements;
     }
   }
@@ -150,40 +173,44 @@ struct RegionOutcome : shard::RegionNet {
   StepCounters counters;
 };
 
-/// Runs the candidate DP of one region.  Reads only the original network,
-/// the shared cut sets and the committed (size, depth) of lower-wave
-/// regions; builds into its own private network.
-RegionOutcome process_region(const mig::Mig& mig, ReplacementOracle& oracle,
-                             const RewriteParams& params,
-                             const std::vector<std::vector<cuts::Cut>>& cut_sets,
-                             const std::vector<uint32_t>& levels,
-                             const std::vector<uint32_t>& committed_size,
-                             const std::vector<uint32_t>& committed_depth,
-                             const std::vector<uint32_t>& members) {
-  RegionOutcome outcome;
-  outcome.inputs = shard::region_inputs(mig, members);
-  RegionCandidates cand;
+/// Runs the candidate DP of one region into `outcome`, whose network must be
+/// fresh.  Reads only the original network, the shared cut sets and the
+/// committed (size, depth) of lower-wave regions; builds into the outcome's
+/// private network.
+void process_region(const mig::Mig& mig, ReplacementOracle& oracle,
+                    const RewriteParams& params,
+                    const std::vector<std::vector<cuts::Cut>>& cut_sets,
+                    const std::vector<uint32_t>& levels,
+                    const std::vector<uint32_t>& committed_size,
+                    const std::vector<uint32_t>& committed_depth,
+                    const std::vector<uint32_t>& members, RegionOutcome& outcome) {
+  const shard::RegionSlots slots(mig, members);
+  outcome.inputs = slots.inputs();
+  // Room for the inputs and one baseline gate per member.
+  outcome.net.reserve(slots.size());
+  // The worker's candidate store, reused by every region it runs.
+  thread_local CandidateLists cand;
+  cand.reset(slots.size(), params.max_candidates);
+  const auto list_of = [&](uint32_t n) { return slots.slot(n); };
   for (const uint32_t f : outcome.inputs) {
-    cand.emplace(f, std::vector<Candidate>{{outcome.net.create_pi(),
-                                            committed_size[f], committed_depth[f]}});
+    cand.insert(slots.slot(f),
+                {outcome.net.create_pi(), committed_size[f], committed_depth[f]});
   }
-  cand.emplace(mig::Mig::constant_node,
-               std::vector<Candidate>{{outcome.net.get_constant(false), 0, 0}});
+  cand.insert(slots.slot(mig::Mig::constant_node), {outcome.net.get_constant(false), 0, 0});
 
   for (const uint32_t v : members) {
-    candidate_step(mig, oracle, params, cut_sets[v], levels[v], v, cand, outcome.net,
-                   outcome.counters);
+    candidate_step(mig, oracle, params, cut_sets[v], levels[v], v, list_of, cand,
+                   outcome.net, outcome.counters);
   }
 
   // Commit the root (the largest member) to its single best implementation
   // (what the sequential DP's boundary resize did); the PO confines the
   // splice to its cone.
-  const Candidate& best = cand.at(members.back()).front();
+  const Candidate& best = cand.best(slots.slot(members.back()));
   outcome.chosen = best.sig;
   outcome.size = best.size;
   outcome.depth = best.depth;
   outcome.net.create_po(best.sig);
-  return outcome;
 }
 
 /// FFR mode: wave-parallel region DP, then a deterministic splice.
@@ -220,8 +247,8 @@ mig::Mig rewrite_bottom_up_ffr(const mig::Mig& mig, ReplacementOracle& oracle,
   for (const auto& wave : waves) {
     util::parallel_for(params.pool, wave.size(), [&](size_t i) {
       const uint32_t r = wave[i];
-      outcomes[r] = process_region(mig, oracle, params, cut_sets, levels,
-                                   committed_size, committed_depth, regions.members[r]);
+      process_region(mig, oracle, params, cut_sets, levels, committed_size, committed_depth,
+                     regions.members[r], outcomes[r]);
       committed_size[live_roots[r]] = outcomes[r].size;
       committed_depth[live_roots[r]] = outcomes[r].depth;
     });
@@ -250,24 +277,25 @@ mig::Mig rewrite_bottom_up(const mig::Mig& mig, ReplacementOracle& oracle,
   const auto levels = mig.compute_levels();
 
   mig::Mig result;
-  DenseCandidates cand(mig.num_nodes());
-  cand[mig::Mig::constant_node] = {{result.get_constant(false), 0, 0}};
-  for (uint32_t i = 0; i < mig.num_pis(); ++i) {
-    cand[1 + i] = {{result.create_pi(), 0, 0}};
-  }
+  // Global mode lists candidates by node id.
+  CandidateLists cand;
+  cand.reset(mig.num_nodes(), params.max_candidates);
+  const auto list_of = [](uint32_t n) { return n; };
+  cand.insert(mig::Mig::constant_node, {result.get_constant(false), 0, 0});
+  for (uint32_t i = 0; i < mig.num_pis(); ++i) cand.insert(1 + i, {result.create_pi(), 0, 0});
 
   const auto live = mig.live_mask();
   StepCounters counters;
   for (uint32_t v = 0; v < mig.num_nodes(); ++v) {
     if (!mig.is_gate(v) || !live[v]) continue;
-    candidate_step(mig, oracle, params, cut_sets[v], levels[v], v, cand, result,
+    candidate_step(mig, oracle, params, cut_sets[v], levels[v], v, list_of, cand, result,
                    counters);
   }
   stats.cuts_evaluated += counters.cuts_evaluated;
   stats.replacements += counters.replacements;
 
   for (const mig::Signal o : mig.outputs()) {
-    const Candidate& best = cand[o.index()].front();
+    const Candidate& best = cand.best(o.index());
     result.create_po(best.sig ^ o.is_complemented());
   }
   return result;

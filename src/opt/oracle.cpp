@@ -36,6 +36,16 @@ int64_t budget_rank(int64_t budget) {
   return budget < 0 ? std::numeric_limits<int64_t>::max() : budget;
 }
 
+/// What query() reports for `chain`, over the chain's own variables.
+ReplacementOracle::Info shape_of(const exact::MigChain& chain) {
+  ReplacementOracle::Info info;
+  info.size = chain.size();
+  info.depth = chain.depth();
+  const auto depths = chain_input_depths(chain);
+  std::copy(depths.begin(), depths.end(), info.input_depths.begin());
+  return info;
+}
+
 uint64_t total_conflicts(const exact::SynthesisResult& result) {
   uint64_t total = 0;
   for (const uint64_t c : result.conflicts_per_step) total += c;
@@ -58,7 +68,10 @@ bool ReplacementOracle::supersedes(const CacheEntry& incoming, const CacheEntry&
 
 ReplacementOracle::ReplacementOracle(const exact::Database& db,
                                      const OracleParams& params)
-    : db_(db), params_(params) {}
+    : db_(db), params_(params) {
+  class_info_.reserve(db.entries().size());
+  for (const auto& entry : db.entries()) class_info_.push_back(shape_of(entry.chain));
+}
 
 const exact::MigChain* ReplacementOracle::class_chain(uint64_t representative,
                                                       OracleTally* tally) {
@@ -114,8 +127,8 @@ const exact::MigChain* ReplacementOracle::class_chain(uint64_t representative,
   return nullptr;
 }
 
-const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable& f5,
-                                                           OracleTally* tally) {
+const ReplacementOracle::ShapedChain* ReplacementOracle::five_input_chain(
+    const tt::TruthTable& f5, OracleTally* tally) {
   const uint64_t bits = f5.bits();
   MemberStripe& members = member_stripe_for(bits);
   std::optional<npn::CanonResult> canon;
@@ -137,12 +150,14 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
   // two stripes are never held together.
   if (!canon) canon = npn::canonize(f5);
   const exact::MigChain* cls = class_chain(canon->representative.bits(), tally);
-  std::optional<exact::MigChain> member;
+  std::optional<ShapedChain> member;
   if (cls != nullptr) {
-    member = exact::apply_transform(*cls, npn::inverse(canon->transform));
-    if (member->simulate() != f5) {
+    auto chain = exact::apply_transform(*cls, npn::inverse(canon->transform));
+    if (chain.simulate() != f5) {
       throw std::logic_error("remapped class chain does not realize 0x" + f5.to_hex());
     }
+    const Info info = shape_of(chain);
+    member = ShapedChain{std::move(chain), info};
   }
   util::MutexLock lock(members.mutex);
   auto& entry = members.map
@@ -158,37 +173,30 @@ const exact::MigChain* ReplacementOracle::five_input_chain(const tt::TruthTable&
 std::optional<ReplacementOracle::Info> ReplacementOracle::query(const tt::TruthTable& f,
                                                                 OracleTally* tally) {
   bump(queries_, tally, &OracleTally::queries);
-  Info info;
-  info.input_depths.assign(f.num_vars(), -1);
 
   if (f.support_size() <= 4) {
-    std::vector<uint32_t> old_vars;
-    const auto g = f.shrink_to_support(old_vars).extend(4);
-    const auto lookup = db_.lookup(g);
+    std::array<uint32_t, tt::TruthTable::max_vars> old_vars;
+    const auto g = f.shrink_to_support(old_vars);
+    const auto lookup = db_.lookup(g.extend(4));
     const auto inv = npn::inverse(lookup.transform);
-    const auto depths = chain_input_depths(lookup.entry->chain);
-    info.size = lookup.entry->chain.size();
-    info.depth = lookup.entry->chain.depth();
+    const Info& cls = class_info_[lookup.entry - db_.entries().data()];
+    Info info;
+    info.size = cls.size;
+    info.depth = cls.depth;
     for (uint32_t i = 0; i < 4; ++i) {
-      if (depths[i] < 0) continue;
+      if (cls.input_depths[i] < 0) continue;
       const uint32_t g_var = inv.perm[i];
-      if (g_var < old_vars.size()) {
-        info.input_depths[old_vars[g_var]] = depths[i];
-      }
+      if (g_var < g.num_vars()) info.input_depths[old_vars[g_var]] = cls.input_depths[i];
     }
     bump(answered_, tally, &OracleTally::answered);
     return info;
   }
 
   if (f.num_vars() > 5) return std::nullopt;
-  const auto* chain = five_input_chain(f.extend(5), tally);
+  const ShapedChain* chain = five_input_chain(f.extend(5), tally);
   if (chain == nullptr) return std::nullopt;
-  info.size = chain->size();
-  info.depth = chain->depth();
-  const auto depths = chain_input_depths(*chain);
-  for (uint32_t v = 0; v < f.num_vars(); ++v) info.input_depths[v] = depths[v];
   bump(answered_, tally, &OracleTally::answered);
-  return info;
+  return chain->info;
 }
 
 ReplacementOracle::CacheStats ReplacementOracle::cache_stats() const {
@@ -349,22 +357,21 @@ size_t ReplacementOracle::save_cache(const std::string& path) {
 }
 
 mig::Signal ReplacementOracle::instantiate(const tt::TruthTable& f, mig::Mig& mig,
-                                           const std::vector<mig::Signal>& leaves,
+                                           std::span<const mig::Signal> leaves,
                                            OracleTally* tally) {
   if (f.support_size() <= 4) {
-    std::vector<uint32_t> old_vars;
-    const auto g = f.shrink_to_support(old_vars).extend(4);
-    std::vector<mig::Signal> mapped(4, mig.get_constant(false));
-    for (uint32_t i = 0; i < old_vars.size(); ++i) {
-      mapped[i] = leaves[old_vars[i]];
-    }
-    return db_.instantiate(g, mig, mapped);
+    std::array<uint32_t, tt::TruthTable::max_vars> old_vars;
+    const auto g = f.shrink_to_support(old_vars);
+    std::array<mig::Signal, 4> mapped;
+    mapped.fill(mig.get_constant(false));
+    for (uint32_t i = 0; i < g.num_vars(); ++i) mapped[i] = leaves[old_vars[i]];
+    return db_.instantiate(g.extend(4), mig, mapped);
   }
-  const auto* chain = five_input_chain(f.extend(5), tally);
+  const ShapedChain* chain = five_input_chain(f.extend(5), tally);
   if (chain == nullptr) {
     throw std::logic_error("instantiate called without a successful query");
   }
-  return chain->instantiate(mig, leaves);
+  return chain->chain.instantiate(mig, leaves);
 }
 
 namespace {

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -99,21 +100,24 @@ public:
   struct Info {
     uint32_t size = 0;   ///< gates of the minimum (or best-known) realization
     uint32_t depth = 0;  ///< its depth
-    /// Longest path from cut-function variable v to the output; -1 if unused.
-    std::vector<int> input_depths;
+    /// Longest path from cut-function variable v to the output; -1 if unused
+    /// or beyond the function's variables.
+    std::array<int, tt::TruthTable::max_vars> input_depths{-1, -1, -1, -1, -1, -1};
   };
 
   /// Returns the replacement structure for a cut function over at most five
   /// variables (in cut-leaf order), or std::nullopt if no structure is known
   /// within the budgets.  Thread-safe.  When `tally` is given, the call's
-  /// counter increments are mirrored into it.
+  /// counter increments are mirrored into it.  The shape is computed once per
+  /// stored chain (per NPN-4 class at construction, per 5-input member when
+  /// its chain is memoized), so a query only remaps it.
   std::optional<Info> query(const tt::TruthTable& f, OracleTally* tally = nullptr);
 
   /// Builds the replacement in `mig`; `leaves[v]` drives variable v of f.
   /// Must only be called after a successful query for the same function.
   /// Thread-safe as long as no other thread touches the same `mig`.
   mig::Signal instantiate(const tt::TruthTable& f, mig::Mig& mig,
-                          const std::vector<mig::Signal>& leaves,
+                          std::span<const mig::Signal> leaves,
                           OracleTally* tally = nullptr);
 
   // --- persistence of the 5-input cache -------------------------------------
@@ -217,13 +221,19 @@ private:
   };
   static constexpr size_t kCacheStripes = 16;
 
+  /// A chain with the Info query() reports for it, in its own variable order.
+  struct ShapedChain {
+    exact::MigChain chain;
+    Info info;
+  };
+
   /// One member-memo entry: a queried function's class and its chain.
   struct MemberEntry {
     uint64_t representative = 0;
     npn::Transform transform;  ///< apply(member, transform) == representative
     /// The class chain remapped onto the member; nullopt while the class
     /// has none.  Set once, never replaced.
-    std::optional<exact::MigChain> chain;
+    std::optional<ShapedChain> chain;
   };
   /// Member-memo slice; hit on every 5-input query, so striped as finely
   /// as the database's lookup memo.
@@ -248,13 +258,15 @@ private:
   /// Chains are created once and never replaced or erased, and
   /// unordered_map never moves its elements, so the returned pointer stays
   /// valid after the stripe lock is released.
-  const exact::MigChain* five_input_chain(const tt::TruthTable& f5,
-                                          OracleTally* tally);
+  const ShapedChain* five_input_chain(const tt::TruthTable& f5, OracleTally* tally);
   /// The class store's chain for a representative, synthesized under its
   /// stripe lock on a miss (or a retry under a larger budget).
   const exact::MigChain* class_chain(uint64_t representative, OracleTally* tally);
 
   const exact::Database& db_;
+  /// Shape of each database entry's chain (over its representative's
+  /// variables), by entry index.
+  std::vector<Info> class_info_;
   OracleParams params_;
   std::array<CacheStripe, kCacheStripes> cache5_;
   std::array<MemberStripe, kMemberStripes> members_;

@@ -87,31 +87,26 @@ cuts::CutEnumerationParams cut_params_for(const RewriteParams& params) {
   return cut_params;
 }
 
-std::vector<uint32_t> cut_cone(const mig::Mig& mig, uint32_t root,
-                               const std::vector<uint32_t>& leaves) {
-  std::vector<uint32_t> cone;
-  std::vector<uint32_t> stack{root};
-  auto is_leaf = [&](uint32_t n) {
+void cut_cone(const mig::Mig& mig, uint32_t root, std::span<const uint32_t> leaves,
+              std::vector<uint32_t>& cone) {
+  // Breadth-first, with the cone itself as the work list.
+  cone.assign(1, root);
+  const auto is_leaf = [&](uint32_t n) {
     return std::find(leaves.begin(), leaves.end(), n) != leaves.end();
   };
-  auto seen = [&](uint32_t n) {
+  const auto seen = [&](uint32_t n) {
     return std::find(cone.begin(), cone.end(), n) != cone.end();
   };
-  while (!stack.empty()) {
-    const uint32_t n = stack.back();
-    stack.pop_back();
-    if (seen(n)) continue;
-    cone.push_back(n);
-    for (const mig::Signal s : mig.fanins(n)) {
+  for (size_t i = 0; i < cone.size(); ++i) {
+    for (const mig::Signal s : mig.fanins(cone[i])) {
       const uint32_t f = s.index();
       if (mig.is_constant(f) || is_leaf(f) || seen(f)) continue;
-      stack.push_back(f);
+      cone.push_back(f);
     }
   }
-  return cone;
 }
 
-bool cone_is_replaceable(const mig::Mig& mig, const std::vector<uint32_t>& cone,
+bool cone_is_replaceable(const mig::Mig& mig, std::span<const uint32_t> cone,
                          uint32_t root, const std::vector<uint32_t>& fanout_counts) {
   for (const uint32_t n : cone) {
     if (n == root) continue;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,19 +111,20 @@ std::vector<std::string> all_variants();
 /// `five_input_cuts`, every cut kept.
 cuts::CutEnumerationParams cut_params_for(const RewriteParams& params);
 
-/// Gates in the cone of (root, leaves), root included, leaves excluded.
-/// Returns an empty vector if the cone would cross a terminal not listed as
-/// leaf (which cannot happen for well-formed cuts).
-std::vector<uint32_t> cut_cone(const mig::Mig& mig, uint32_t root,
-                               const std::vector<uint32_t>& leaves);
+/// Fills `cone` with the nodes in the cone of (root, leaves): root first,
+/// leaves and the constant excluded.  For a well-formed cut these are all
+/// gates.  `cone` is caller scratch, so a pass can reuse one across cuts.
+void cut_cone(const mig::Mig& mig, uint32_t root, std::span<const uint32_t> leaves,
+              std::vector<uint32_t>& cone);
 
 /// True iff no internal cone node other than the root has fanout outside the
 /// cone (the paper's condition for a replaceable cut in global mode).
-bool cone_is_replaceable(const mig::Mig& mig, const std::vector<uint32_t>& cone,
+bool cone_is_replaceable(const mig::Mig& mig, std::span<const uint32_t> cone,
                          uint32_t root, const std::vector<uint32_t>& fanout_counts);
 
 /// For each chain input, the longest path (in gates) from that input to the
-/// chain output; -1 when the input is unused.
+/// chain output; -1 when the input is unused.  The oracle computes it once
+/// per stored chain and reports it with every answer.
 std::vector<int> chain_input_depths(const exact::MigChain& chain);
 
 /// Top-down driver (Algorithm 1).

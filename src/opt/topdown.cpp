@@ -1,4 +1,7 @@
+#include <array>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "mig/ffr.hpp"
 #include "mig/shard.hpp"
@@ -29,8 +32,8 @@ namespace {
 struct Plan {
   bool replace = false;
   bool visited = false;  ///< the plan walk reached this node
-  std::vector<uint32_t> leaves;
-  tt::TruthTable func;  ///< cut function over the leaves
+  cuts::Cut cut;         ///< the replaced cut
+  tt::TruthTable func;   ///< cut function over its leaves
 };
 
 struct PlanCounters {
@@ -49,15 +52,16 @@ struct PlanInputs {
 };
 
 /// Chooses the best replacement cut for `v`, or nullopt to keep the node.
+/// `cone` is the walk's scratch for the cone of the cut at hand.
 std::optional<Plan> choose_plan(const PlanInputs& in, uint32_t v,
-                                PlanCounters& counters) {
+                                PlanCounters& counters, std::vector<uint32_t>& cone) {
   const auto& [mig, oracle, params, cut_sets, fanout, levels] = in;
   int best_gain = 0;
   std::optional<Plan> best;
   for (const auto& cut : cut_sets[v]) {
     if (cut.size == 1 && cut.leaves[0] == v) continue;  // trivial cut
-    const auto leaves = cut.leaf_vector();
-    const auto cone = cut_cone(mig, v, leaves);
+    const std::span<const uint32_t> leaves(cut.leaves.data(), cut.size);
+    cut_cone(mig, v, leaves, cone);
     // In global mode, discard cuts whose internal nodes have external
     // fanout (paper Sec. IV-C, first option); FFR cuts are confined by
     // construction.
@@ -82,7 +86,7 @@ std::optional<Plan> choose_plan(const PlanInputs& in, uint32_t v,
       if (new_level > levels[v]) continue;
     }
     best_gain = gain;
-    best = Plan{true, true, leaves, f};
+    best = Plan{true, true, cut, f};
   }
   return best;
 }
@@ -91,11 +95,15 @@ std::optional<Plan> choose_plan(const PlanInputs& in, uint32_t v,
 /// which `in_scope` holds and entering no other node.  Plans depend only on
 /// the node, never on visit order.  Writes only the plan slots of in-scope
 /// nodes, so walks over disjoint scopes run concurrently without contention.
+/// Its work list and cone buffer are per-thread scratch, reused by every
+/// walk (one per region in FFR mode).
 template <typename InScope>
-void plan_walk(const PlanInputs& in, const std::vector<uint32_t>& roots,
+void plan_walk(const PlanInputs& in, std::span<const uint32_t> roots,
                const InScope& in_scope, std::vector<Plan>& plans,
                PlanCounters& counters) {
-  std::vector<uint32_t> stack;
+  thread_local std::vector<uint32_t> stack;
+  thread_local std::vector<uint32_t> cone;
+  stack.clear();
   for (const uint32_t r : roots) {
     if (in_scope(r)) stack.push_back(r);
   }
@@ -105,12 +113,12 @@ void plan_walk(const PlanInputs& in, const std::vector<uint32_t>& roots,
     if (plans[v].visited) continue;
     plans[v].visited = true;
 
-    auto best = choose_plan(in, v, counters);
+    auto best = choose_plan(in, v, counters, cone);
     if (best) {
-      plans[v] = std::move(*best);
+      plans[v] = *best;
       ++counters.replacements;
-      for (const uint32_t l : plans[v].leaves) {
-        if (in_scope(l)) stack.push_back(l);
+      for (uint8_t i = 0; i < plans[v].cut.size; ++i) {
+        if (in_scope(plans[v].cut.leaves[i])) stack.push_back(plans[v].cut.leaves[i]);
       }
     } else {
       for (const mig::Signal s : in.mig.fanins(v)) {
@@ -135,7 +143,8 @@ mig::Mig rebuild_from_plans(const mig::Mig& mig, ReplacementOracle& oracle,
     needed[v] = 1;
     if (!mig.is_gate(v)) continue;
     if (plans[v].replace) {
-      for (const uint32_t l : plans[v].leaves) stack.push_back(l);
+      const cuts::Cut& cut = plans[v].cut;
+      stack.insert(stack.end(), cut.leaves.begin(), cut.leaves.begin() + cut.size);
     } else {
       for (const mig::Signal s : mig.fanins(v)) stack.push_back(s.index());
     }
@@ -150,10 +159,11 @@ mig::Mig rebuild_from_plans(const mig::Mig& mig, ReplacementOracle& oracle,
   for (uint32_t v = 0; v < mig.num_nodes(); ++v) {
     if (!needed[v] || !mig.is_gate(v)) continue;
     if (plans[v].replace) {
-      std::vector<mig::Signal> leaf_signals;
-      leaf_signals.reserve(plans[v].leaves.size());
-      for (const uint32_t l : plans[v].leaves) leaf_signals.push_back(map[l]);
-      map[v] = oracle.instantiate(plans[v].func, result, leaf_signals, tally);
+      const cuts::Cut& cut = plans[v].cut;
+      std::array<mig::Signal, cuts::Cut::max_size> leaf_signals;
+      for (uint8_t i = 0; i < cut.size; ++i) leaf_signals[i] = map[cut.leaves[i]];
+      map[v] = oracle.instantiate(plans[v].func, result,
+                                  std::span(leaf_signals.data(), cut.size), tally);
     } else {
       const auto& f = mig.fanins(v);
       map[v] = result.create_maj(map[f[0].index()] ^ f[0].is_complemented(),
@@ -205,7 +215,7 @@ mig::Mig rewrite_top_down(const mig::Mig& mig, ReplacementOracle& oracle,
       const auto in_region = [&](uint32_t n) {
         return mig.is_gate(n) && partition.region_root[n] == root;
       };
-      plan_walk(in, {root}, in_region, plans, counters[r]);
+      plan_walk(in, std::span(&root, 1), in_region, plans, counters[r]);
     });
   }
   for (const auto& c : counters) {

@@ -42,12 +42,11 @@ TruthTable TruthTable::extend(uint32_t new_num_vars) const {
   return TruthTable(new_num_vars, b);
 }
 
-TruthTable TruthTable::shrink_to_support(std::vector<uint32_t>& old_vars) const {
-  old_vars.clear();
+TruthTable TruthTable::shrink_to_support(std::array<uint32_t, max_vars>& old_vars) const {
+  uint32_t k = 0;
   for (uint32_t v = 0; v < num_vars_; ++v) {
-    if (depends_on(v)) old_vars.push_back(v);
+    if (depends_on(v)) old_vars[k++] = v;
   }
-  const auto k = static_cast<uint32_t>(old_vars.size());
   TruthTable result(k);
   for (uint32_t m = 0; m < result.num_bits(); ++m) {
     uint32_t src = 0;
@@ -56,6 +55,13 @@ TruthTable TruthTable::shrink_to_support(std::vector<uint32_t>& old_vars) const 
     }
     result.set_bit(m, get_bit(src));
   }
+  return result;
+}
+
+TruthTable TruthTable::shrink_to_support(std::vector<uint32_t>& old_vars) const {
+  std::array<uint32_t, max_vars> vars{};
+  const TruthTable result = shrink_to_support(vars);
+  old_vars.assign(vars.begin(), vars.begin() + result.num_vars());
   return result;
 }
 

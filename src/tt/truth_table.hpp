@@ -159,8 +159,10 @@ public:
   TruthTable extend(uint32_t new_num_vars) const;
 
   /// Compacts the function onto its support.  Returns the reduced table and
-  /// fills `old_vars` with, for each new variable index, the original
-  /// variable index it came from.
+  /// fills the first num_vars() entries of `old_vars` (of the result) with,
+  /// for each new variable index, the original variable index it came from.
+  TruthTable shrink_to_support(std::array<uint32_t, max_vars>& old_vars) const;
+  /// The same, with `old_vars` holding exactly the result's variables.
   TruthTable shrink_to_support(std::vector<uint32_t>& old_vars) const;
 
   /// Hexadecimal string, most significant nibble first (kitty convention).

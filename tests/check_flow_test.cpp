@@ -37,7 +37,7 @@ TEST(CheckFlowTest, FullCheckLevelHoldsAcrossGeneratorCorpus) {
     FlowReport report;
     mig::Mig optimized;
     // With check level `full`, run_into validates structure, derived data,
-    // FFR partition, shard plan and wave order after *every* pass and throws
+    // FFR partition, region cover and wave order after *every* pass and throws
     // on the first violation — so a plain no-throw run is the assertion.
     ASSERT_NO_THROW(optimized = pipeline.run(network, session, &report)) << name;
     EXPECT_TRUE(check::validate_at(optimized, /*full=*/true).ok()) << name;

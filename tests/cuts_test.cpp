@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <stdexcept>
 
 #include "gen/arith.hpp"
 #include "mig/ffr.hpp"
@@ -139,6 +141,48 @@ TEST(CutsTest, EveryCutFunctionIsConsistent) {
       }
     }
   }
+}
+
+TEST(CutsTest, SimulateCutOnALargeCone) {
+  // A chain of gates over three inputs, each gate reading the previous one,
+  // so the last gate's cone holds every gate: more than any fixed-size
+  // scratch would hold.
+  mig::Mig m;
+  const auto pis = m.create_pis(3);
+  std::mt19937 rng(11);
+  std::vector<mig::Signal> pool(pis);
+  mig::Signal last = pis[0];
+  while (m.num_gates() < 300) {
+    const auto pick = [&] {
+      const auto s = pool[rng() % pool.size()];
+      return (rng() & 1) != 0 ? !s : s;
+    };
+    const mig::Signal a = pick();
+    const mig::Signal b = pick();
+    last = m.create_maj(last, a, b);
+    pool.push_back(last);
+  }
+  m.create_po(last);
+  ASSERT_GE(m.count_live_gates(), 200u);
+
+  const std::vector<uint32_t> leaves{pis[0].index(), pis[1].index(), pis[2].index()};
+  const auto tables = mig::simulate_truth_tables(m);
+  for (uint32_t n = m.num_pis() + 1; n < m.num_nodes(); ++n) {
+    EXPECT_EQ(mig::simulate_cut(m, n, leaves), tables[n]) << "node " << n;
+  }
+}
+
+TEST(CutsTest, SimulateCutRejectsLeavesThatMissATerminal) {
+  mig::Mig m;
+  const auto a = m.create_pi();
+  const auto b = m.create_pi();
+  const auto c = m.create_pi();
+  const auto g = m.create_maj(a, b, m.create_and(b, c));
+  const std::vector<uint32_t> leaves{a.index(), b.index()};  // c is uncovered
+  EXPECT_THROW(mig::simulate_cut(m, g.index(), leaves), std::invalid_argument);
+  // The failed call leaves nothing behind for the next one on this thread.
+  const std::vector<uint32_t> all{a.index(), b.index(), c.index()};
+  EXPECT_EQ(mig::simulate_cut(m, g.index(), all), mig::simulate_truth_tables(m)[g.index()]);
 }
 
 TEST(CutsTest, MaxCutsCapIsRespected) {

@@ -225,6 +225,98 @@ TEST(MigTest, SimulationSelfDualProperty) {
   EXPECT_EQ(r2[g3.index()], ~r1[g3.index()]);
 }
 
+// --- structural hashing -------------------------------------------------------
+
+/// Issues `gates` create_maj calls over random, randomly complemented
+/// existing nodes of `m`; the same seed on an equal network issues the same
+/// calls.
+void add_random_gates(Mig& m, uint32_t gates, uint32_t seed) {
+  std::mt19937 rng(seed);
+  for (uint32_t g = 0; g < gates; ++g) {
+    const auto pick = [&] {
+      const uint32_t index = 1 + static_cast<uint32_t>(rng() % (m.num_nodes() - 1));
+      return Signal(index, (rng() & 1) != 0);
+    };
+    const Signal a = pick();
+    const Signal b = pick();
+    const Signal c = pick();
+    m.create_maj(a, b, c);
+  }
+}
+
+void expect_same_network(const Mig& a, const Mig& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.num_pis(), b.num_pis());
+  for (uint32_t n = 0; n < a.num_nodes(); ++n) {
+    ASSERT_EQ(a.fanins(n), b.fanins(n)) << "node " << n;
+  }
+  EXPECT_EQ(a.outputs(), b.outputs());
+}
+
+/// Every gate's fanins, re-issued permuted, find the gate; re-issued
+/// complemented (the self-dual twin), they find its complement.
+void expect_every_gate_found(Mig& m) {
+  const uint32_t gates = m.num_gates();
+  for (uint32_t g = m.num_pis() + 1; g < m.num_nodes(); ++g) {
+    const auto f = m.fanins(g);
+    ASSERT_EQ(m.create_maj(f[2], f[0], f[1]), Signal(g, false)) << "gate " << g;
+    ASSERT_EQ(m.create_maj(!f[1], !f[2], !f[0]), Signal(g, true)) << "gate " << g;
+  }
+  EXPECT_EQ(m.num_gates(), gates);
+}
+
+TEST(MigStrashTest, FindsEveryGateAfterManyGrowths) {
+  Mig m;
+  m.create_pis(16);
+  // From the smallest table to one of 2^18 slots: fourteen growths.
+  uint32_t seed = 1;
+  while (m.num_gates() < 120000) add_random_gates(m, 10000, seed++);
+  expect_every_gate_found(m);
+}
+
+TEST(MigStrashTest, ReserveLeavesTheNetworkUnchanged) {
+  Mig plain;
+  plain.create_pis(12);
+  add_random_gates(plain, 60000, 3);
+
+  Mig ahead;  // sized for the whole build up front
+  ahead.reserve(200000);
+  ahead.create_pis(12);
+  add_random_gates(ahead, 60000, 3);
+  expect_same_network(plain, ahead);
+
+  Mig midway;  // a hint the build outgrows, then one given mid-build
+  midway.reserve(1000);
+  midway.create_pis(12);
+  add_random_gates(midway, 30000, 3);
+  midway.reserve(midway.num_nodes() + 50000);
+  add_random_gates(midway, 30000, 4);
+  Mig reference;
+  reference.create_pis(12);
+  add_random_gates(reference, 30000, 3);
+  add_random_gates(reference, 30000, 4);
+  expect_same_network(reference, midway);
+  expect_every_gate_found(midway);
+}
+
+TEST(MigStrashTest, CopyMidBuildKeepsHashing) {
+  Mig m;
+  m.create_pis(10);
+  add_random_gates(m, 30000, 5);
+  const uint32_t nodes = m.num_nodes();
+
+  Mig copy = m;
+  expect_every_gate_found(copy);
+  add_random_gates(copy, 30000, 6);
+  EXPECT_GT(copy.num_nodes(), nodes);
+  EXPECT_EQ(m.num_nodes(), nodes);  // the source is untouched
+  expect_every_gate_found(copy);
+
+  // The source, continued with the same calls, matches the copy.
+  add_random_gates(m, 30000, 6);
+  expect_same_network(m, copy);
+}
+
 TEST(MigTest, PoPolarityRespectedInOutputTables) {
   Mig m;
   const auto a = m.create_pi();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <random>
 #include <sstream>
@@ -93,8 +94,8 @@ TEST(RewriteUtilTest, CutConeCountsInternalNodes) {
   const auto g1 = m.create_maj(a, b, c);
   const auto g2 = m.create_maj(g1, c, d);
   m.create_po(g2);
-  const auto cone =
-      cut_cone(m, g2.index(), {a.index(), b.index(), c.index(), d.index()});
+  std::vector<uint32_t> cone;
+  cut_cone(m, g2.index(), std::array{a.index(), b.index(), c.index(), d.index()}, cone);
   EXPECT_EQ(cone.size(), 2u);
 }
 
@@ -109,10 +110,11 @@ TEST(RewriteUtilTest, ConeReplaceabilityDetectsExternalFanout) {
   m.create_po(g2);
   m.create_po(g3);
   const auto fanout = m.compute_fanout_counts();
-  const auto cone = cut_cone(m, g2.index(), {a.index(), b.index(), c.index()});
+  std::vector<uint32_t> cone;
+  cut_cone(m, g2.index(), std::array{a.index(), b.index(), c.index()}, cone);
   EXPECT_FALSE(cone_is_replaceable(m, cone, g2.index(), fanout));
-  const auto cone2 = cut_cone(m, g2.index(), {g1.index(), a.index()});
-  EXPECT_TRUE(cone_is_replaceable(m, cone2, g2.index(), fanout));
+  cut_cone(m, g2.index(), std::array{g1.index(), a.index()}, cone);
+  EXPECT_TRUE(cone_is_replaceable(m, cone, g2.index(), fanout));
 }
 
 TEST(RewriteUtilTest, ChainInputDepths) {

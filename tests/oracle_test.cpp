@@ -537,6 +537,109 @@ TEST(OracleClassTest, AnswersDoNotDependOnQueryOrderOrThreads) {
 // projections, so one class; the success beats the failure.  Migrated
 // entries are dirty, and the next save writes them back as v2 lines keyed by
 // representatives, which a fresh oracle adopts line for line.
+// --- stored input depths ---------------------------------------------------------
+
+/// A random NPN transform over `num_vars` variables.
+npn::Transform random_transform(uint32_t num_vars, std::mt19937& rng) {
+  const auto perms = npn::all_permutations(num_vars);
+  npn::Transform t;
+  t.num_vars = static_cast<uint8_t>(num_vars);
+  t.perm = perms[rng() % perms.size()];
+  t.input_negations = static_cast<uint8_t>(rng() & ((1u << num_vars) - 1));
+  t.output_negation = (rng() & 1) != 0;
+  return t;
+}
+
+/// What a query for `f` (support at most four) reports, computed from
+/// scratch: the class chain's chain_input_depths, mapped onto f's variables
+/// through the database lookup's transform.
+ReplacementOracle::Info database_reference(const tt::TruthTable& f) {
+  std::vector<uint32_t> old_vars;
+  const auto g = f.shrink_to_support(old_vars).extend(4);
+  const auto lookup = db().lookup(g);
+  const auto inv = npn::inverse(lookup.transform);
+  const auto depths = chain_input_depths(lookup.entry->chain);
+  ReplacementOracle::Info info;
+  info.size = lookup.entry->chain.size();
+  info.depth = lookup.entry->chain.depth();
+  for (uint32_t i = 0; i < 4; ++i) {
+    if (depths[i] >= 0 && inv.perm[i] < old_vars.size()) {
+      info.input_depths[old_vars[inv.perm[i]]] = depths[i];
+    }
+  }
+  return info;
+}
+
+TEST(OracleDepthTest, DatabaseClassesMatchChainInputDepths) {
+  ReplacementOracle oracle(db());
+  std::mt19937 rng(22);
+  ASSERT_EQ(db().entries().size(), 222u);
+  for (const auto& entry : db().entries()) {
+    // The representative, members of its class, and members embedded in
+    // five variables with one of them unused.
+    std::vector<tt::TruthTable> functions{entry.representative};
+    for (int i = 0; i < 3; ++i) {
+      functions.push_back(npn::apply(entry.representative, random_transform(4, rng)));
+      functions.push_back(
+          npn::apply(entry.representative.extend(5), random_transform(5, rng)));
+    }
+    for (const auto& f : functions) {
+      const auto info = oracle.query(f);
+      ASSERT_TRUE(info.has_value());
+      const auto expected = database_reference(f);
+      EXPECT_EQ(info->size, expected.size) << "f=0x" << f.to_hex();
+      EXPECT_EQ(info->depth, expected.depth) << "f=0x" << f.to_hex();
+      EXPECT_EQ(info->input_depths, expected.input_depths) << "f=0x" << f.to_hex();
+    }
+  }
+}
+
+TEST(OracleDepthTest, CachedChainsMatchChainInputDepths) {
+  ScratchDir scratch("mighty_oracle_depths");
+  const auto path = (scratch.dir / "c5.db").string();
+  {
+    ReplacementOracle oracle(db());
+    for (const auto& f : structured_five_input_functions()) {
+      ASSERT_TRUE(oracle.query(f).has_value());
+    }
+    oracle.save_cache(path);
+  }
+  std::ifstream is(path);
+  const CacheFile file = read_cache_file(is, /*all_diagnostics=*/true);
+  ASSERT_TRUE(file.report.ok()) << file.report.summary();
+
+  ReplacementOracle oracle(db());
+  ASSERT_EQ(oracle.load_cache(path).status, ReplacementOracle::CacheLoadStatus::loaded);
+  std::mt19937 rng(23);
+  size_t chains = 0;
+  for (const auto& record : file.records) {
+    if (!record.chain) continue;
+    ++chains;
+    const tt::TruthTable representative(5, record.key);
+    std::vector<tt::TruthTable> functions{representative};
+    for (int i = 0; i < 4; ++i) {
+      functions.push_back(npn::apply(representative, random_transform(5, rng)));
+    }
+    for (const auto& f : functions) {
+      // The chain the oracle answers f with: the class chain remapped onto f.
+      const auto member =
+          exact::apply_transform(*record.chain, npn::inverse(npn::canonize(f).transform));
+      ASSERT_EQ(member.simulate(), f);
+      const auto depths = chain_input_depths(member);
+      const auto info = oracle.query(f);
+      ASSERT_TRUE(info.has_value());
+      EXPECT_EQ(info->size, member.size()) << "f=0x" << f.to_hex();
+      EXPECT_EQ(info->depth, member.depth()) << "f=0x" << f.to_hex();
+      for (uint32_t v = 0; v < tt::TruthTable::max_vars; ++v) {
+        EXPECT_EQ(info->input_depths[v], v < depths.size() ? depths[v] : -1)
+            << "f=0x" << f.to_hex() << " var " << v;
+      }
+    }
+  }
+  EXPECT_EQ(chains, distinct_classes(structured_five_input_functions()));
+  EXPECT_EQ(oracle.synthesized_count(), 0u);
+}
+
 TEST(OracleCacheTest, V1CacheMigratesOntoClasses) {
   ScratchDir scratch("mighty_oracle_v1");
   ReplacementOracle oracle(db());
